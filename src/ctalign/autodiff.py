@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Covers exactly the operations the training graph needs: broadcast-aware
-elementwise arithmetic, 2-D matmul, exp/log/sqrt, tanh/sigmoid/gelu, clip,
-and sum/mean reductions. Values are plain ndarrays; after ``backward(root)``
-each reachable tensor holds its accumulated gradient in ``.grad``.
+elementwise arithmetic, 2-D matmul, exp/sqrt, sigmoid/gelu and sum
+reductions. A composite with closed-form partials becomes one node by
+constructing ``Tensor(value, parents, vjp)`` directly. Values are plain
+ndarrays; after ``backward(root)`` each reachable tensor holds its
+accumulated gradient in ``.grad``.
 """
 
 from __future__ import annotations
@@ -83,9 +85,6 @@ def _const(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-constant = _const
-
-
 def add(a, b) -> Tensor:
     a, b = _const(a), _const(b)
 
@@ -155,36 +154,10 @@ def exp(a) -> Tensor:
     return Tensor(out, (a,), lambda g: (g * out,))
 
 
-def log(a) -> Tensor:
-    a = _const(a)
-    return Tensor(np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
 def sqrt(a) -> Tensor:
     a = _const(a)
     out = np.sqrt(a.value)
     return Tensor(out, (a,), lambda g: (g * (0.5 / out),))
-
-
-def pow_const(a, exponent: float) -> Tensor:
-    """a ** exponent for a constant nonzero exponent; base must stay positive
-    when the exponent is fractional or negative."""
-    a = _const(a)
-    c = float(exponent)
-    if c == 0.0:
-        raise ValueError("zero exponent: fold the constant 1 instead")
-    out = a.value**c
-
-    def vjp(g):
-        return (g * c * a.value ** (c - 1.0),)
-
-    return Tensor(out, (a,), vjp)
-
-
-def tanh(a) -> Tensor:
-    a = _const(a)
-    out = np.tanh(a.value)
-    return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(a) -> Tensor:
@@ -214,13 +187,6 @@ def gelu(a) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes only strictly inside the bounds."""
-    a = _const(a)
-    inside = (a.value > lo) & (a.value < hi)
-    return Tensor(np.clip(a.value, lo, hi), (a,), lambda g: (g * inside,))
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _const(a)
     out = a.value.sum(axis=axis, keepdims=keepdims)
@@ -232,16 +198,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, a.value.shape),)
 
     return Tensor(out, (a,), vjp)
-
-
-def mean_all(a) -> Tensor:
-    a = _const(a)
-    n = a.value.size
-
-    def vjp(g):
-        return (np.broadcast_to(np.asarray(g) / n, a.value.shape),)
-
-    return Tensor(a.value.mean(), (a,), vjp)
 
 
 def backward(root: Tensor) -> None:

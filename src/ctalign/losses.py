@@ -41,6 +41,34 @@ class GradientBundle:
                 raise NumericalError(f"non-finite gradient in parameter group {name!r}")
 
 
+def asl_with_partial(probs, y, cfg: LossConfig | None = None):
+    """Asymmetric loss value and a closure for g times its partial in probs.
+
+    The partial is zero wherever the clamp is active; it comes back raveled.
+    """
+    cfg = cfg or LossConfig()
+    raw = np.asarray(probs, dtype=np.float64).ravel()
+    yv = as_label_vector(y)
+    if raw.size != yv.size:
+        raise ShapeError(f"{raw.size} probabilities but {yv.size} labels")
+    if np.isnan(raw).any():
+        raise NumericalError("probabilities contain NaN")
+    p = np.clip(raw, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    gp, gm = cfg.gamma_plus, cfg.gamma_minus
+    log_p, log_q = np.log(p), np.log(1.0 - p)
+    # a zero gamma gives a weight of exactly 1.0, so no branch is needed
+    w_pos, w_neg = (1.0 - p) ** gp, p**gm
+    value = float(-(yv * (w_pos * log_p) + (1 - yv) * (w_neg * log_q)).mean())
+
+    def partial(g: float) -> np.ndarray:
+        d_pos = w_pos / p - gp * (1.0 - p) ** (gp - 1.0) * log_p
+        d_neg = gm * p ** (gm - 1.0) * log_q - w_neg / (1.0 - p)
+        inside = (raw > PROB_CLAMP) & (raw < 1.0 - PROB_CLAMP)
+        return (-g / yv.size) * (yv * d_pos + (1 - yv) * d_neg) * inside
+
+    return value, partial
+
+
 def asl_loss(probs, y, cfg: LossConfig | None = None) -> float:
     """Asymmetric binary loss averaged over classes.
 
@@ -49,21 +77,7 @@ def asl_loss(probs, y, cfg: LossConfig | None = None) -> float:
     p^gamma_minus; both gammas at zero reduce this to mean binary
     cross-entropy.
     """
-    cfg = cfg or LossConfig()
-    p = np.asarray(probs, dtype=np.float64).ravel()
-    yv = as_label_vector(y)
-    if p.size != yv.size:
-        raise ShapeError(f"{p.size} probabilities but {yv.size} labels")
-    if np.isnan(p).any():
-        raise NumericalError("probabilities contain NaN")
-    p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = np.log(p)
-    if cfg.gamma_plus != 0.0:
-        pos = (1.0 - p) ** cfg.gamma_plus * pos
-    neg = np.log(1.0 - p)
-    if cfg.gamma_minus != 0.0:
-        neg = p**cfg.gamma_minus * neg
-    return float(-(yv * pos + (1 - yv) * neg).mean())
+    return asl_with_partial(probs, y, cfg)[0]
 
 
 def combined_loss(outputs, targets, cfg: LossConfig | None = None) -> tuple[float, float, float]:

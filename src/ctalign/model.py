@@ -28,10 +28,15 @@ from .distributions import (
     normalized_labels,
 )
 from .errors import ConfigError, NumericalError, ParseError, ShapeError
-from .losses import PROB_CLAMP, LossConfig, loss_gradients, warmup_gradients
+from .losses import LossConfig, asl_with_partial, loss_gradients, warmup_gradients
 from .metrics import map_score
-from .numerics import as_matrix, top_k_mask
-from .transport import NavigatorParams, backward_plan
+from .numerics import (
+    as_matrix,
+    cosine_similarity_matrix,
+    cosine_similarity_partials,
+    top_k_mask,
+)
+from .transport import NavigatorParams, backward_plan, ct_kernel
 
 BACKGROUND = -1
 
@@ -185,7 +190,6 @@ def init_params(
     head_hidden: int | None = None,
     seed: int = 0,
     block_scale: float = 0.25,
-    nav_projection_dim: int | None = None,
 ) -> ToyModelParams:
     """Random init. Residual blocks start as small perturbations of identity
     and the head correction starts at the zero map, so the initial forward
@@ -212,14 +216,7 @@ def init_params(
         w2=np.zeros((dim, hh)),
         b2=np.zeros((dim, 1)),
     )
-    nav = NavigatorParams()
-    if nav_projection_dim is not None:
-        pscale = 1.0 / math.sqrt(dim)
-        nav = NavigatorParams(
-            proj_patch=rng.normal(0.0, pscale, (nav_projection_dim, dim)),
-            proj_label=rng.normal(0.0, pscale, (nav_projection_dim, dim)),
-        )
-    return ToyModelParams(encoder, table, label_layers, head, nav)
+    return ToyModelParams(encoder, table, label_layers, head, NavigatorParams())
 
 
 def parameter_arrays(params: ToyModelParams) -> dict[str, np.ndarray]:
@@ -237,9 +234,6 @@ def parameter_arrays(params: ToyModelParams) -> dict[str, np.ndarray]:
     out["head.w2"] = params.head.w2
     out["head.b2"] = params.head.b2
     out["navigator.log_temperature"] = params.navigator.log_temperature
-    if params.navigator.proj_patch is not None:
-        out["navigator.proj_patch"] = params.navigator.proj_patch
-        out["navigator.proj_label"] = params.navigator.proj_label
     return out
 
 
@@ -327,6 +321,8 @@ def _forward_graph(
             f"patches have dimension {patches.shape[0]}, model expects {params.dim}"
         )
     n = patches.shape[1]
+    if n == 0:
+        raise ShapeError("patch bag has no patches")
 
     radius = math.sqrt(params.dim)
     x = ad.Tensor(patches)
@@ -380,10 +376,23 @@ def _forward_graph(
     return _Graph(patch_layers, label_layers, thetas, theta_logits, beta, feature, probs)
 
 
-def _cosine_graph(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    na = ad.sqrt(ad.tsum(a * a, axis=0, keepdims=True))
-    nb = ad.sqrt(ad.tsum(b * b, axis=0, keepdims=True))
-    return ad.transpose(a / na) @ (b / nb)
+def _ct_node(graph: _Graph, idx: int, log_temperature: ad.Tensor) -> ad.Tensor:
+    """Layer idx's forward + backward transport cost as one tape node over
+    transport.ct_kernel."""
+    e, l = graph.patch_layers[idx], graph.label_layers[idx]
+    theta, logits = graph.thetas[idx], graph.theta_logits[idx]
+    cos = cosine_similarity_matrix(e.value, l.value)
+    k = ct_kernel(
+        cos, theta.value.ravel(), logits.value.ravel(), graph.beta, log_temperature.value[0]
+    )
+
+    def vjp(g):
+        g_cos, g_theta, g_logits, g_log_tau = k.partials(float(g))
+        g_e, g_l = cosine_similarity_partials(e.value, l.value, cos, g_cos)
+        return g_e, g_l, g_theta.reshape(-1, 1), g_logits.reshape(-1, 1), np.array([g_log_tau])
+
+    parents = (e, l, theta, logits, log_temperature)
+    return ad.Tensor(k.forward_cost + k.backward_cost, parents, vjp)
 
 
 def _ct_graph(
@@ -398,52 +407,18 @@ def _ct_graph(
     the normalizer of theta cancels inside the column softmax, which keeps
     exact zeros out of the log.
     """
-    beta = graph.beta
-    with np.errstate(divide="ignore"):
-        log_beta_row = np.log(beta)[None, :]
-    beta_row = beta[None, :]
-    inv_tau = ad.exp(-tensors["navigator.log_temperature"])
-    projected = params.navigator.proj_patch is not None
-
-    terms = []
+    acc = None
     for idx in range(start_layer - 1, params.depth):
-        e_l, l_l = graph.patch_layers[idx], graph.label_layers[idx]
-        cost = 1.0 - _cosine_graph(e_l, l_l)
-        if projected:
-            pe = tensors["navigator.proj_patch"] @ e_l
-            pl = tensors["navigator.proj_label"] @ l_l
-            nav_base = 1.0 - _cosine_graph(pe, pl)
-        else:
-            nav_base = cost
-        d = nav_base * inv_tau
-
-        zf = ad.sub(ad.Tensor(log_beta_row), d)
-        ef = ad.exp(zf - zf.value.max(axis=1, keepdims=True))
-        rows = ef / ad.tsum(ef, axis=1, keepdims=True)
-        forward_cost = ad.tsum(graph.thetas[idx] * rows * cost)
-
-        zb = ad.sub(graph.theta_logits[idx], d)
-        eb = ad.exp(zb - zb.value.max(axis=0, keepdims=True))
-        cols = eb / ad.tsum(eb, axis=0, keepdims=True)
-        backward_cost = ad.tsum(cols * beta_row * cost)
-
-        terms.append(forward_cost + backward_cost)
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = acc + term
+        term = _ct_node(graph, idx, tensors["navigator.log_temperature"])
+        acc = term if acc is None else acc + term
     return acc
 
 
 def _asl_graph(probs: ad.Tensor, y, cfg: LossConfig) -> ad.Tensor:
-    yv = as_label_vector(y).astype(np.float64).reshape(-1, 1)
-    p = ad.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = ad.log(p)
-    if cfg.gamma_plus != 0.0:
-        pos = ad.pow_const(1.0 - p, cfg.gamma_plus) * pos
-    neg = ad.log(1.0 - p)
-    if cfg.gamma_minus != 0.0:
-        neg = ad.pow_const(p, cfg.gamma_minus) * neg
-    return -ad.tsum(yv * pos + (1.0 - yv) * neg) * (1.0 / yv.size)
+    value, partial = asl_with_partial(probs.value, y, cfg)
+    return ad.Tensor(
+        value, (probs,), lambda g: (partial(float(g)).reshape(probs.shape),)
+    )
 
 
 def batch_objective(
@@ -552,35 +527,12 @@ def encode(
     )
 
 
-def predict(params: ToyModelParams, patches, k_eval: int | None = None) -> np.ndarray:
-    """Class probabilities for an unlabeled patch bag.
-
-    The head path never consumes labels, so k_eval does not influence the
-    probabilities; it is forwarded only when diagnostic point sets are built
-    separately (see inference_point_sets).
-    """
-    graph = _forward_graph(
-        parameter_tensors(params), params, patches, None, k_eval, "masked", "sparse"
-    )
-    return graph.probs.value.ravel().copy()
-
-
-def inference_point_sets(
-    params: ToyModelParams, patches
-) -> tuple[list[DiscretePointSet], list[DiscretePointSet]]:
-    """Per-layer point sets for label-free diagnostics: uniform weights on
-    both sides, since the label-guided weighting needs ground truth."""
+def predict(params: ToyModelParams, patches) -> np.ndarray:
+    """Class probabilities for an unlabeled patch bag."""
     graph = _forward_graph(
         parameter_tensors(params), params, patches, None, None, "masked", "sparse"
     )
-    n = graph.patch_layers[0].value.shape[1]
-    m = params.n_labels
-    u_n = np.full(n, 1.0 / n)
-    u_m = np.full(m, 1.0 / m)
-    return (
-        [make_point_set(e.value, u_n) for e in graph.patch_layers],
-        [make_point_set(l.value, u_m) for l in graph.label_layers],
-    )
+    return graph.probs.value.ravel().copy()
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +677,11 @@ def localization_report(
     n_correct = 0
     n_localized = 0
     for sample in samples:
-        probs = predict(params, sample.patches)
-        if not np.array_equal((probs > prob_threshold).astype(np.int64), sample.y):
+        # the head never reads the labels, so these are predict's probabilities
+        enc = encode(params, sample, top_k=top_k, beta_mode=beta_mode, topk_mode=topk_mode)
+        if not np.array_equal((enc.probabilities > prob_threshold).astype(np.int64), sample.y):
             continue
         n_correct += 1
-        enc = encode(params, sample, top_k=top_k, beta_mode=beta_mode, topk_mode=topk_mode)
         plan = backward_plan(
             enc.per_layer_patches[-1], enc.per_layer_labels[-1], params.navigator
         )
@@ -776,6 +728,8 @@ def _load_json(path) -> dict:
 
 
 def save_dataset(samples, path, meta: dict | None = None) -> None:
+    if not samples:
+        raise ConfigError("no samples to save")
     first = samples[0]
     payload = {
         "format": DATASET_FORMAT,
@@ -822,7 +776,6 @@ def load_dataset(path) -> list[SyntheticSample]:
 
 
 def save_checkpoint(params: ToyModelParams, path, extra: dict | None = None) -> None:
-    nav = params.navigator
     payload = {
         "format": CHECKPOINT_FORMAT,
         "arch": {
@@ -830,9 +783,6 @@ def save_checkpoint(params: ToyModelParams, path, extra: dict | None = None) -> 
             "n_labels": params.n_labels,
             "depth": params.depth,
             "head_hidden": int(params.head.w1.shape[0]),
-            "nav_projection_dim": (
-                None if nav.proj_patch is None else int(nav.proj_patch.shape[0])
-            ),
         },
         "params": {
             name: _array_payload(arr) for name, arr in parameter_arrays(params).items()
@@ -854,11 +804,6 @@ def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
             dim=int(arch["dim"]),
             depth=int(arch["depth"]),
             head_hidden=int(arch["head_hidden"]),
-            nav_projection_dim=(
-                None
-                if arch.get("nav_projection_dim") is None
-                else int(arch["nav_projection_dim"])
-            ),
         )
         stored = payload["params"]
     except (KeyError, TypeError, ValueError) as err:

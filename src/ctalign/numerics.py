@@ -1,5 +1,6 @@
 """Shared float64 primitives: stable softmax, top-k masking, cosine
-similarity, simplex validation, and a central-difference gradient checker.
+similarity and its partials, simplex validation, and a central-difference
+gradient checker.
 """
 
 from __future__ import annotations
@@ -103,6 +104,17 @@ def cosine_similarity_matrix(a, b) -> np.ndarray:
     if (na == 0.0).any() or (nb == 0.0).any():
         raise DegenerateVectorError("zero-norm column in cosine similarity")
     return (a.T @ b) / np.outer(na, nb)
+
+
+def cosine_similarity_partials(a, b, cos, g) -> tuple[np.ndarray, np.ndarray]:
+    """Partials of sum(g * cos) with respect to a and b, where cos is
+    cosine_similarity_matrix(a, b) and g has its (n, m) shape."""
+    na = np.sqrt((a * a).sum(axis=0))
+    nb = np.sqrt((b * b).sum(axis=0))
+    gc = g * cos
+    ga = ((b / nb) @ g.T) / na - a * (gc.sum(axis=1) / (na * na))
+    gb = ((a / na) @ g) / nb - b * (gc.sum(axis=0) / (nb * nb))
+    return ga, gb
 
 
 def grad_check(

@@ -2,14 +2,16 @@
 
 Both transport plans are closed-form: each source point spreads its weight
 over the targets through a softmax of negative navigator distances, so no
-inner optimization runs. A log-domain Sinkhorn solver is included as an
-entropic-OT baseline on the same cost matrix, and plan columns can be
-exported as bicubically resampled square grids.
+inner optimization runs; ``ct_kernel`` is the one implementation, with
+closed-form partials for the trainer. A log-domain Sinkhorn solver is
+included as an entropic-OT baseline on the same cost matrix, and plan
+columns can be exported as bicubically resampled square grids.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,29 +31,18 @@ from .numerics import as_matrix, as_simplex, cosine_similarity_matrix
 class NavigatorParams:
     """Parameters of the point-to-point distance used inside the plans.
 
-    The default distance is temperature-scaled cosine distance,
-    (1 - cos) / tau, with tau = exp(log_temperature) so the learnable scalar
-    is unconstrained. Optional projection matrices (p, d) turn it into a
-    learnable bilinear distance: cosine is then taken between projected
-    columns.
+    The distance is temperature-scaled cosine distance, (1 - cos) / tau,
+    with tau = exp(log_temperature) so the learnable scalar is
+    unconstrained.
     """
 
     log_temperature: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    proj_patch: np.ndarray | None = None
-    proj_label: np.ndarray | None = None
 
     def __post_init__(self):
         lt = np.atleast_1d(np.asarray(self.log_temperature, dtype=np.float64))
         if lt.size != 1 or not np.isfinite(lt).all():
             raise ConfigError("log_temperature must be a finite scalar")
         self.log_temperature = lt
-        if (self.proj_patch is None) != (self.proj_label is None):
-            raise ConfigError("projections must be given for both sides or neither")
-        if self.proj_patch is not None:
-            self.proj_patch = as_matrix(self.proj_patch, "proj_patch")
-            self.proj_label = as_matrix(self.proj_label, "proj_label")
-            if self.proj_patch.shape != self.proj_label.shape:
-                raise ShapeError("projection matrices must share a shape")
 
     @property
     def tau(self) -> float:
@@ -87,59 +78,125 @@ class CTResult:
     backward: TransportPlan
 
 
-def cost_matrix(patch_emb, label_emb) -> np.ndarray:
-    """Pairwise cosine distance 1 - cos, clamped into [0, 2]."""
-    c = 1.0 - cosine_similarity_matrix(patch_emb, label_emb)
-    return np.maximum(c, 0.0)
+def _clamped_cost(cos: np.ndarray) -> np.ndarray:
+    return np.maximum(1.0 - cos, 0.0)
 
 
-def navigator_distance(patch_emb, label_emb, params: NavigatorParams | None = None) -> np.ndarray:
-    """Temperature-scaled cosine distance between columns, (1 - cos) / tau.
-
-    With projections enabled the cosine is computed on the projected columns.
-    The distance is symmetric in its arguments by construction.
-    """
-    params = params or NavigatorParams()
-    if params.proj_patch is not None:
-        patch_emb = params.proj_patch @ as_matrix(patch_emb, "patch embeddings")
-        label_emb = params.proj_label @ as_matrix(label_emb, "label embeddings")
-    d = (1.0 - cosine_similarity_matrix(patch_emb, label_emb)) / params.tau
+def _scaled_distance(cos: np.ndarray, tau: float) -> np.ndarray:
+    d = (1.0 - cos) / tau
     if np.isnan(d).any():
         raise EvaluationError("navigator distance produced NaN")
     return d
 
 
-def _check_pair(p: DiscretePointSet, q: DiscretePointSet) -> None:
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    z = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def cost_matrix(patch_emb, label_emb) -> np.ndarray:
+    """Pairwise cosine distance 1 - cos, clamped into [0, 2]."""
+    return _clamped_cost(cosine_similarity_matrix(patch_emb, label_emb))
+
+
+def navigator_distance(patch_emb, label_emb, params: NavigatorParams | None = None) -> np.ndarray:
+    """Temperature-scaled cosine distance between columns, (1 - cos) / tau.
+
+    The distance is symmetric in its arguments by construction.
+    """
+    params = params or NavigatorParams()
+    return _scaled_distance(cosine_similarity_matrix(patch_emb, label_emb), params.tau)
+
+
+@dataclass(frozen=True)
+class CTKernel:
+    """Both plans and both expected costs of one closed-form CT evaluation.
+
+    ``partials(g)`` returns g times the partials of forward_cost +
+    backward_cost with respect to the cosine matrix, theta, the source
+    logits and log tau, in that order.
+    """
+
+    forward: np.ndarray
+    backward: np.ndarray
+    forward_cost: float
+    backward_cost: float
+    partials: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray, float]]
+
+
+def ct_kernel(cos, theta, logits, beta, log_tau) -> CTKernel:
+    """Closed-form bidirectional transport from one (n, m) cosine matrix.
+
+    Row i of the forward plan is theta_i times a softmax over targets of
+    log beta_j - d_ij; column j of the backward plan is beta_j times a
+    softmax over sources of logits_i - d_ij, with d = (1 - cos) / tau. The
+    logits are the source log-weights up to an additive constant, which the
+    column softmax cancels; -inf entries give sources of zero weight. Both
+    plans price mass with the clamped cost max(1 - cos, 0); the temperature
+    only shapes the plans.
+    """
+    tau = float(np.exp(log_tau))
+    cost = _clamped_cost(cos)
+    d = _scaled_distance(cos, tau)
+    with np.errstate(divide="ignore"):
+        log_beta = np.log(beta)
+    rows = _softmax(log_beta[None, :] - d, axis=1)
+    cols = _softmax(logits[:, None] - d, axis=0)
+    forward = theta[:, None] * rows
+    backward = cols * beta[None, :]
+
+    def partials(g: float):
+        # softmax Jacobian: the partial of sum_k rows_ik cost_ik in the
+        # logit z_ij is rows_ij (cost_ij - row_mean_i); likewise per column
+        row_mean = (rows * cost).sum(axis=1, keepdims=True)
+        col_mean = (cols * cost).sum(axis=0, keepdims=True)
+        gz_forward = forward * (cost - row_mean)
+        gz_backward = backward * (cost - col_mean)
+        gz = gz_forward + gz_backward  # equals -dL/dd
+        g_cos = gz / tau - (forward + backward) * (cos < 1.0)
+        g_log_tau = float((gz * d).sum())
+        return (
+            g * g_cos,
+            g * row_mean.ravel(),
+            g * gz_backward.sum(axis=1),
+            g * g_log_tau,
+        )
+
+    return CTKernel(
+        forward,
+        backward,
+        float((forward * cost).sum()),
+        float((backward * cost).sum()),
+        partials,
+    )
+
+
+def _kernel(p: DiscretePointSet, q: DiscretePointSet, params: NavigatorParams | None) -> CTKernel:
     if p.dim != q.dim:
         raise ShapeError(f"point sets live in different dimensions: {p.dim} vs {q.dim}")
+    params = params or NavigatorParams()
+    with np.errstate(divide="ignore"):
+        log_theta = np.log(p.weights)
+    return ct_kernel(
+        cosine_similarity_matrix(p.support, q.support),
+        p.weights,
+        log_theta,
+        q.weights,
+        params.log_temperature[0],
+    )
 
 
 def forward_plan(p: DiscretePointSet, q: DiscretePointSet, params: NavigatorParams | None = None) -> TransportPlan:
     """Source-conditioned plan: row i is theta_i times a softmax over targets
     of log beta_j - d_ij. Rows sum to the source weights exactly."""
-    _check_pair(p, q)
-    d = navigator_distance(p.support, q.support, params)
-    with np.errstate(divide="ignore"):
-        log_beta = np.log(q.weights)
-    z = log_beta[None, :] - d
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    rows = e / e.sum(axis=1, keepdims=True)
-    return TransportPlan(p.weights[:, None] * rows, "forward")
+    return TransportPlan(_kernel(p, q, params).forward, "forward")
 
 
 def backward_plan(p: DiscretePointSet, q: DiscretePointSet, params: NavigatorParams | None = None) -> TransportPlan:
     """Target-conditioned plan: column j is beta_j times a softmax over source
     points of log theta_i - d_ij. Columns sum to the target weights exactly."""
-    _check_pair(p, q)
-    d = navigator_distance(p.support, q.support, params)
-    with np.errstate(divide="ignore"):
-        log_theta = np.log(p.weights)
-    z = log_theta[:, None] - d
-    z -= z.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    cols = e / e.sum(axis=0, keepdims=True)
-    return TransportPlan(cols * q.weights[None, :], "backward")
+    return TransportPlan(_kernel(p, q, params).backward, "backward")
 
 
 def ct_distance(p: DiscretePointSet, q: DiscretePointSet, params: NavigatorParams | None = None) -> CTResult:
@@ -148,13 +205,14 @@ def ct_distance(p: DiscretePointSet, q: DiscretePointSet, params: NavigatorParam
     Both plans price mass movement with the raw cosine-distance cost matrix;
     the navigator temperature only shapes the plans themselves.
     """
-    params = params or NavigatorParams()
-    cost = cost_matrix(p.support, q.support)
-    fwd = forward_plan(p, q, params)
-    bwd = backward_plan(p, q, params)
-    fc = float((fwd.coupling * cost).sum())
-    bc = float((bwd.coupling * cost).sum())
-    return CTResult(fc + bc, fc, bc, fwd, bwd)
+    k = _kernel(p, q, params)
+    return CTResult(
+        k.forward_cost + k.backward_cost,
+        k.forward_cost,
+        k.backward_cost,
+        TransportPlan(k.forward, "forward"),
+        TransportPlan(k.backward, "backward"),
+    )
 
 
 def layerwise_ct(
@@ -175,7 +233,8 @@ def layerwise_ct(
         raise ConfigError(f"start_layer {start_layer} outside 1..{depth}")
     total = 0.0
     for p, q in zip(per_layer_p[start_layer - 1 :], per_layer_q[start_layer - 1 :]):
-        total += ct_distance(p, q, params).total
+        k = _kernel(p, q, params)
+        total += k.forward_cost + k.backward_cost
     return total
 
 

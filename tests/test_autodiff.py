@@ -29,20 +29,9 @@ class TestElementwiseOps:
     def test_exp(self):
         check_graph(lambda t: ad.tsum(ad.exp(t)), RNG.normal(size=6), (2, 3))
 
-    def test_log(self):
-        x0 = RNG.random(6) + 0.5
-        check_graph(lambda t: ad.tsum(ad.log(t)), x0, (2, 3))
-
     def test_sqrt(self):
         x0 = RNG.random(6) + 0.5
         check_graph(lambda t: ad.tsum(ad.sqrt(t)), x0, (2, 3))
-
-    def test_pow_const(self):
-        x0 = RNG.random(6) + 0.5
-        check_graph(lambda t: ad.tsum(ad.pow_const(t, 1.7)), x0, (2, 3))
-
-    def test_tanh(self):
-        check_graph(lambda t: ad.tsum(ad.tanh(t)), RNG.normal(size=6), (2, 3))
 
     def test_sigmoid(self):
         check_graph(lambda t: ad.tsum(ad.sigmoid(t)), RNG.normal(size=6), (2, 3))
@@ -57,19 +46,6 @@ class TestElementwiseOps:
         x0 = RNG.random(4) + 1.0
         check_graph(lambda t: ad.tsum(1.0 / t + t / 3.0), x0, (4,))
 
-    def test_clip_passes_gradient_inside_bounds(self):
-        x0 = np.array([0.2, 0.5, 0.8])
-        check_graph(lambda t: ad.tsum(ad.clip(t, 0.0, 1.0) * ad.clip(t, 0.0, 1.0)), x0, (3,))
-
-    def test_clip_zero_gradient_outside_bounds(self):
-        t = ad.Tensor(np.array([-1.0, 2.0, 0.5]))
-        ad.backward(ad.tsum(ad.clip(t, 0.0, 1.0)))
-        assert np.array_equal(t.grad, [0.0, 0.0, 1.0])
-
-    def test_mean_all(self):
-        t = ad.Tensor(RNG.normal(size=(3, 4)))
-        ad.backward(ad.mean_all(t))
-        assert np.allclose(t.grad, np.full((3, 4), 1.0 / 12))
 
 
 class TestShapesAndBroadcasting:
@@ -162,5 +138,5 @@ class TestGraphMechanics:
     def test_composite_expression(self):
         x0 = RNG.normal(size=5) * 0.5
         check_graph(
-            lambda t: ad.tsum(ad.sigmoid(t) * ad.tanh(t) + ad.exp(t * 0.3)), x0, (5,)
+            lambda t: ad.tsum(ad.sigmoid(t) * ad.gelu(t) + ad.exp(t * 0.3)), x0, (5,)
         )

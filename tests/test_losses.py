@@ -13,6 +13,7 @@ from ctalign.losses import (
     GradientBundle,
     LossConfig,
     asl_loss,
+    asl_with_partial,
     combined_loss,
     loss_gradients,
     warmup_gradients,
@@ -83,6 +84,20 @@ class TestAslLoss:
         with pytest.raises(NumericalError):
             asl_loss([np.nan], [1])
 
+    @pytest.mark.parametrize("gammas", [(0.0, 0.0), (0.0, 2.0), (1.0, 2.0), (0.5, 1.5)])
+    def test_partial_matches_finite_differences(self, gammas):
+        cfg = LossConfig(gamma_plus=gammas[0], gamma_minus=gammas[1])
+        rng = np.random.default_rng(13)
+        p0 = rng.random(6) * 0.9 + 0.05
+        y = np.array([1, 0, 1, 0, 0, 1])
+        _, partial = asl_with_partial(p0, y, cfg)
+        assert grad_check(lambda p: asl_loss(p, y, cfg), lambda _p: partial(1.0), p0) <= 1e-8
+
+    def test_partial_zero_where_clamped(self):
+        _, partial = asl_with_partial([0.0, 1.0, 0.5], [1, 0, 1])
+        g = partial(1.0)
+        assert g[0] == 0.0 and g[1] == 0.0 and g[2] != 0.0
+
 
 def outputs_for(params, sample):
     return model_mod.encode(params, sample)
@@ -125,6 +140,20 @@ class TestCombinedLoss:
         assert lct_all > lct_last > 0.0
 
 
+def assert_matches_finite_differences(cfg, **modes):
+    params, batch = tiny_instance(6, n_labels=3, dim=6, n_patches=4, depth=2)
+    flat = flat_gradient(params, loss_gradients(params, batch, cfg, **modes))
+    x0 = model_mod.flatten_parameters(params).copy()
+
+    def f(vec):
+        model_mod.assign_parameters(params, vec)
+        value = model_mod.batch_loss_value(params, batch, cfg, **modes)
+        model_mod.assign_parameters(params, x0)
+        return value
+
+    assert grad_check(f, lambda _x: flat, x0) <= 1e-4
+
+
 class TestLossGradients:
     def test_alpha_zero_navigator_gradient_exactly_zero(self):
         params, batch = tiny_instance(5)
@@ -134,19 +163,21 @@ class TestLossGradients:
         )
 
     def test_matches_finite_differences(self):
-        params, batch = tiny_instance(6, n_labels=3, dim=6, n_patches=4, depth=2)
-        cfg = LossConfig(alpha=1.0)
-        bundle = loss_gradients(params, batch, cfg)
-        flat = flat_gradient(params, bundle)
-        x0 = model_mod.flatten_parameters(params).copy()
+        assert_matches_finite_differences(LossConfig(alpha=1.0))
 
-        def f(vec):
-            model_mod.assign_parameters(params, vec)
-            value = model_mod.batch_loss_value(params, batch, cfg)
-            model_mod.assign_parameters(params, x0)
-            return value
-
-        assert grad_check(f, lambda _x: flat, x0) <= 1e-4
+    @pytest.mark.parametrize(
+        ("loss_fields", "modes"),
+        [
+            ({}, {"topk_mode": "binary"}),
+            ({}, {"beta_mode": "literal"}),
+            ({"start_layer": 2}, {}),
+            ({"gamma_plus": 1.0}, {}),
+            ({}, {"top_k": 2}),
+        ],
+        ids=["binary-topk", "literal-beta", "start-layer-2", "gamma-plus-1", "top-k-2"],
+    )
+    def test_matches_finite_differences_off_defaults(self, loss_fields, modes):
+        assert_matches_finite_differences(LossConfig(alpha=1.0, **loss_fields), **modes)
 
     def test_duplicated_sample_equals_single(self):
         params, batch = tiny_instance(7)

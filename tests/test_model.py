@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -186,10 +187,14 @@ class TestPredict:
         assert np.array_equal(a, b)
         assert a.shape == (5,)
 
-    def test_k_eval_does_not_change_probabilities(self):
-        params = init_params(n_labels=5, dim=8, depth=2, seed=11)
-        patches = np.random.default_rng(1).normal(size=(8, 9))
-        assert np.array_equal(predict(params, patches), predict(params, patches, k_eval=1))
+
+    def test_empty_bag_rejected(self):
+        params = init_params(n_labels=3, dim=4, depth=1, seed=12)
+        empty = np.zeros((4, 0))
+        with pytest.raises(ShapeError):
+            predict(params, empty)
+        with pytest.raises(ShapeError):
+            encode(params, SyntheticSample(empty, np.array([1, 0, 0]), np.zeros(0, dtype=np.int64)))
 
 
 class TestLocalizationReport:
@@ -320,14 +325,6 @@ class TestParameterPlumbing:
         with pytest.raises(ConfigError):
             init_params(n_labels=2, dim=4, depth=0)
 
-    def test_navigator_projections_optional(self):
-        params = init_params(n_labels=3, dim=6, depth=1, seed=32, nav_projection_dim=4)
-        assert params.navigator.proj_patch.shape == (4, 6)
-        assert params.navigator.proj_label.shape == (4, 6)
-        flat = flatten_parameters(params)
-        plain = init_params(n_labels=3, dim=6, depth=1, seed=32)
-        assert flat.size > flatten_parameters(plain).size
-
 
 class TestSerialization:
     def test_dataset_roundtrip_exact(self, tmp_path):
@@ -351,13 +348,6 @@ class TestSerialization:
         assert np.array_equal(flatten_parameters(loaded), flatten_parameters(params))
         assert loaded.depth == params.depth
 
-    def test_checkpoint_roundtrip_with_projections(self, tmp_path):
-        params = init_params(n_labels=3, dim=6, depth=1, seed=42, nav_projection_dim=3)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(params, path)
-        loaded, _ = load_checkpoint(path)
-        assert np.array_equal(loaded.navigator.proj_patch, params.navigator.proj_patch)
-
     def test_missing_file_raises_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             load_checkpoint(tmp_path / "nope.json")
@@ -377,6 +367,31 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_dataset(path)
+
+    def test_unknown_arch_key_ignored(self, tmp_path):
+        # checkpoints written before an arch field was dropped still load
+        params = init_params(n_labels=3, dim=4, depth=1, seed=43)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        payload = json.loads(path.read_text())
+        payload["arch"]["retired_field"] = None
+        path.write_text(json.dumps(payload))
+        loaded, _ = load_checkpoint(path)
+        assert np.array_equal(flatten_parameters(loaded), flatten_parameters(params))
+
+    def test_foreign_parameter_rejected(self, tmp_path):
+        params = init_params(n_labels=3, dim=4, depth=1, seed=44)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        payload = json.loads(path.read_text())
+        payload["params"]["navigator.extra"] = {"shape": [1], "data": [0.0]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_empty_dataset_save_rejected(self, tmp_path):
+        with pytest.raises(ConfigError):
+            save_dataset([], tmp_path / "data.json")
 
     def test_trace_csv_format(self, tmp_path):
         trace = [EpochStats(1, 0.5, 0.25, 0.25, 0.75), EpochStats(2, 0.4, 0.2, 0.2, 0.8)]

@@ -16,6 +16,7 @@ from ctalign.errors import (
 from ctalign.numerics import (
     as_simplex,
     cosine_similarity_matrix,
+    cosine_similarity_partials,
     grad_check,
     softmax_stable,
     top_k_mask,
@@ -105,6 +106,28 @@ class TestTopKMask:
         out = top_k_mask(s, k)
         kept = np.isfinite(out)
         assert np.array_equal(out[kept], s[kept])
+
+
+class TestCosineSimilarityPartials:
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(14)
+        a0 = rng.normal(size=(5, 4))
+        b0 = rng.normal(size=(5, 3))
+        g = rng.normal(size=(4, 3))
+        x0 = np.concatenate([a0.ravel(), b0.ravel()])
+
+        def split(x):
+            return x[: a0.size].reshape(a0.shape), x[a0.size :].reshape(b0.shape)
+
+        def f(x):
+            return float((g * cosine_similarity_matrix(*split(x))).sum())
+
+        def grad(x):
+            a, b = split(x)
+            ga, gb = cosine_similarity_partials(a, b, cosine_similarity_matrix(a, b), g)
+            return np.concatenate([ga.ravel(), gb.ravel()])
+
+        assert grad_check(f, grad, x0) <= 1e-8
 
 
 class TestCosineSimilarityMatrix:

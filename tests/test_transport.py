@@ -13,11 +13,13 @@ from ctalign.errors import (
     NumericalError,
     ShapeError,
 )
+from ctalign.numerics import grad_check, softmax_stable, top_k_mask
 from ctalign.transport import (
     NavigatorParams,
     backward_plan,
     cost_matrix,
     ct_distance,
+    ct_kernel,
     export_plan_grid,
     forward_plan,
     layerwise_ct,
@@ -84,27 +86,6 @@ class TestNavigatorDistance:
             np.array([[1.0]]), np.array([[-1.0]]), nav_with_tau(0.5)
         )
         assert d[0, 0] == pytest.approx(4.0, abs=1e-12)
-
-    def test_projection_changes_geometry(self):
-        from ctalign.transport import navigator_distance
-
-        rng = np.random.default_rng(3)
-        e = rng.normal(size=(4, 3))
-        l = rng.normal(size=(4, 2))
-        proj = rng.normal(size=(2, 4))
-        params = NavigatorParams(proj_patch=proj, proj_label=proj)
-        expected = (1.0 - (
-            (proj @ e).T
-            @ (proj @ l)
-            / np.outer(
-                np.linalg.norm(proj @ e, axis=0), np.linalg.norm(proj @ l, axis=0)
-            )
-        ))
-        assert np.allclose(navigator_distance(e, l, params), expected, atol=1e-12)
-
-    def test_one_sided_projection_rejected(self):
-        with pytest.raises(ConfigError):
-            NavigatorParams(proj_patch=np.eye(2))
 
     def test_vector_temperature_rejected(self):
         with pytest.raises(ConfigError):
@@ -242,6 +223,44 @@ class TestCTDistance:
         p, q = random_point_sets(rng, n, m, d)
         nav = NavigatorParams(log_temperature=rng.normal(size=1) * 0.5)
         assert abs(ct_distance(p, q, nav).total - nested_loop_ct(p, q, nav)) <= 1e-12
+
+
+def kernel_instance(rng: np.random.Generator):
+    """Random kernel inputs: a sparse top-k theta (exact zeros, -inf logits),
+    a label weight vector with exact zeros, and tau in [e^-2, e^2]."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+    cos = rng.uniform(-0.95, 0.95, size=(n, m))
+    logits = top_k_mask(rng.normal(size=n), int(rng.integers(1, n + 1)))
+    theta = softmax_stable(logits)
+    beta = rng.random(m) * (rng.random(m) < 0.7)
+    beta[rng.integers(m)] += 0.5
+    return cos, theta, logits, beta / beta.sum(), rng.uniform(-2.0, 2.0)
+
+
+class TestCTKernel:
+    def test_partials_match_finite_differences(self):
+        rng = np.random.default_rng(15)
+        worst = 0.0
+        sparse_seen = 0
+        for _ in range(60):
+            cos, theta, logits, beta, log_tau = kernel_instance(rng)
+            sparse_seen += bool(np.isneginf(logits).any())
+            n, m = cos.shape
+            x0 = np.concatenate([cos.ravel(), theta, logits, [log_tau]])
+
+            def split(x):
+                return x[: n * m].reshape(n, m), x[n * m : n * m + n], x[n * m + n : -1], x[-1]
+
+            def f(x):
+                c, th, lg, lt = split(x)
+                k = ct_kernel(c, th, lg, beta, lt)
+                return k.forward_cost + k.backward_cost
+
+            g_cos, g_theta, g_logits, g_log_tau = ct_kernel(cos, theta, logits, beta, log_tau).partials(1.0)
+            analytic = np.concatenate([g_cos.ravel(), g_theta, g_logits, [g_log_tau]])
+            worst = max(worst, grad_check(f, lambda _x: analytic, x0, step=1e-6))
+        assert sparse_seen >= 10
+        assert worst <= 1e-6
 
 
 class TestTemperatureLimits:
