@@ -80,18 +80,7 @@ def _config_from_sources(file_values: dict, overrides: dict) -> ExperimentConfig
 
 
 def _read_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            values = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: invalid JSON at line {err.lineno}") from err
-    except OSError as err:
-        raise ParseError(f"{path}: {err}") from err
-    if not isinstance(values, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
-    return values
+    return {} if path is None else model_mod.load_json(path)
 
 
 def _parse_modes(mode_args: list[str] | None) -> dict:
@@ -144,15 +133,7 @@ def _write_metrics_csv(path: Path, reports: list[MetricsReport]) -> None:
 
 def _load_embedding_file(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Embedding JSON: {dim, count, data (row-major, count x dim), weights?}."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: invalid JSON at line {err.lineno}") from err
-    except OSError as err:
-        raise ParseError(f"{path}: {err}") from err
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    payload = model_mod.load_json(path)
     try:
         dim = int(payload["dim"])
         count = int(payload["count"])

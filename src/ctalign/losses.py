@@ -4,10 +4,11 @@ adds the layer-wise transport divergence on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff
 from .distributions import as_label_vector
 from .errors import NumericalError, ShapeError
 from .transport import layerwise_ct
@@ -111,26 +112,7 @@ def loss_gradients(
     Built by reverse-mode differentiation of the same graph the trainer runs;
     the finite-difference checker in numerics is the independent reference.
     """
-    from . import model as model_mod  # deferred: model imports this module
-
-    cfg = cfg or LossConfig()
-    tensors = model_mod.parameter_tensors(model)
-    total_t, lct_t, asl_t = model_mod.batch_objective(
-        tensors, model, batch, cfg, top_k=top_k, beta_mode=beta_mode, topk_mode=topk_mode
-    )
-    from .autodiff import backward
-
-    backward(total_t)
-    partials = {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.value))
-        for name, t in tensors.items()
-    }
-    return GradientBundle(
-        partials=partials,
-        total=float(total_t.value),
-        lct=float(lct_t.value),
-        asl=float(asl_t.value),
-    )
+    return _step_gradients(model, batch, cfg, top_k, beta_mode, topk_mode, warmup=False)
 
 
 def warmup_gradients(
@@ -148,32 +130,29 @@ def warmup_gradients(
     other group's gradient touches, follows the raw transport loss so its
     temperature is already calibrated to the learned geometry when the joint
     phase starts. With alpha = 0 the navigator is left untouched, keeping
-    "alpha zero means transport nowhere in training" literally true.
+    "alpha zero means transport nowhere in training" literally true. The
+    reported total is the classification loss.
     """
+    return _step_gradients(model, batch, cfg, top_k, beta_mode, topk_mode, warmup=True)
+
+
+def _step_gradients(model, batch, cfg, top_k, beta_mode, topk_mode, warmup) -> GradientBundle:
+    """One graph and one backward pass over model.batch_objective's root."""
     from . import model as model_mod  # deferred: model imports this module
 
     cfg = cfg or LossConfig()
     tensors = model_mod.parameter_tensors(model)
-    total_t, lct_t, asl_t = model_mod.batch_objective(
-        tensors, model, batch, cfg, top_k=top_k, beta_mode=beta_mode, topk_mode=topk_mode
+    root, lct_t, asl_t = model_mod.batch_objective(
+        tensors, model, batch, cfg, top_k, beta_mode, topk_mode, warmup
     )
-    from .autodiff import backward
-
-    backward(asl_t)
+    autodiff.backward(root)
     partials = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.value))
         for name, t in tensors.items()
     }
-    if cfg.alpha > 0.0:
-        backward(lct_t)
-        for name, t in tensors.items():
-            if name.startswith("navigator."):
-                partials[name] = (
-                    t.grad if t.grad is not None else np.zeros_like(t.value)
-                )
     return GradientBundle(
         partials=partials,
-        total=float(asl_t.value),
+        total=float((asl_t if warmup else root).value),
         lct=float(lct_t.value),
         asl=float(asl_t.value),
     )

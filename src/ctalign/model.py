@@ -27,7 +27,7 @@ from .distributions import (
     make_point_set,
     normalized_labels,
 )
-from .errors import ConfigError, NumericalError, ParseError, ShapeError
+from .errors import ConfigError, DegenerateVectorError, NumericalError, ParseError, ShapeError
 from .losses import LossConfig, asl_with_partial, loss_gradients, warmup_gradients
 from .metrics import map_score
 from .numerics import (
@@ -278,8 +278,14 @@ def _normalize_columns(t: ad.Tensor, radius: float) -> ad.Tensor:
     # the transport term zeroes itself by inflating one norm (a single patch,
     # or the label table) until the patch weights go one-hot; with radius 1
     # the inner products are too small for confident logits or sharp weights
+    return t * (radius / _column_norms(t))
+
+
+def _column_norms(t: ad.Tensor) -> ad.Tensor:
     norms = ad.sqrt(ad.tsum(t * t, axis=0, keepdims=True))
-    return t * (radius / norms)
+    if (norms.value == 0.0).any():
+        raise DegenerateVectorError("zero-norm embedding column has no direction")
+    return norms
 
 
 def _orthonormal_columns(t: ad.Tensor, radius: float) -> ad.Tensor:
@@ -299,7 +305,7 @@ def _orthonormal_columns(t: ad.Tensor, radius: float) -> ad.Tensor:
         v = t @ ad.Tensor(pick)
         for u in units:
             v = v - u @ (ad.transpose(u) @ v)
-        v = v / ad.sqrt(ad.tsum(v * v, axis=0, keepdims=True))
+        v = v / _column_norms(v)
         units.append(v)
         col = (radius * v) @ ad.Tensor(pick.T)
         out = col if out is None else out + col
@@ -376,15 +382,23 @@ def _forward_graph(
     return _Graph(patch_layers, label_layers, thetas, theta_logits, beta, feature, probs)
 
 
-def _ct_node(graph: _Graph, idx: int, log_temperature: ad.Tensor) -> ad.Tensor:
+def _ct_node(
+    graph: _Graph, idx: int, log_temperature: ad.Tensor, detached: bool = False
+) -> ad.Tensor:
     """Layer idx's forward + backward transport cost as one tape node over
-    transport.ct_kernel."""
+    transport.ct_kernel. A detached node's only parent is the log
+    temperature, so its cost trains the navigator and nothing else."""
     e, l = graph.patch_layers[idx], graph.label_layers[idx]
     theta, logits = graph.thetas[idx], graph.theta_logits[idx]
     cos = cosine_similarity_matrix(e.value, l.value)
     k = ct_kernel(
         cos, theta.value.ravel(), logits.value.ravel(), graph.beta, log_temperature.value[0]
     )
+    cost = k.forward_cost + k.backward_cost
+    if detached:
+        return ad.Tensor(
+            cost, (log_temperature,), lambda g: (np.array([k.partials(float(g))[3]]),)
+        )
 
     def vjp(g):
         g_cos, g_theta, g_logits, g_log_tau = k.partials(float(g))
@@ -392,7 +406,7 @@ def _ct_node(graph: _Graph, idx: int, log_temperature: ad.Tensor) -> ad.Tensor:
         return g_e, g_l, g_theta.reshape(-1, 1), g_logits.reshape(-1, 1), np.array([g_log_tau])
 
     parents = (e, l, theta, logits, log_temperature)
-    return ad.Tensor(k.forward_cost + k.backward_cost, parents, vjp)
+    return ad.Tensor(cost, parents, vjp)
 
 
 def _ct_graph(
@@ -400,6 +414,7 @@ def _ct_graph(
     tensors: dict[str, ad.Tensor],
     params: ToyModelParams,
     start_layer: int,
+    detached: bool = False,
 ) -> ad.Tensor:
     """Layer-wise bidirectional transport cost as one differentiable scalar.
 
@@ -409,7 +424,7 @@ def _ct_graph(
     """
     acc = None
     for idx in range(start_layer - 1, params.depth):
-        term = _ct_node(graph, idx, tensors["navigator.log_temperature"])
+        term = _ct_node(graph, idx, tensors["navigator.log_temperature"], detached)
         acc = term if acc is None else acc + term
     return acc
 
@@ -429,12 +444,16 @@ def batch_objective(
     top_k: int | None = None,
     beta_mode: str = "masked",
     topk_mode: str = "sparse",
+    warmup: bool = False,
 ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
-    """Batch-mean combined loss as a graph root, plus component roots.
+    """The root one gradient step differentiates, plus the batch-mean
+    transport and classification nodes (root, lct, asl).
 
-    Returns (total, lct, asl) nodes with total = alpha*lct + asl assembled
-    from the shared per-sample graphs, so the additivity contract holds
-    exactly and either component can be differentiated on its own.
+    The joint root is alpha*lct + asl. The warmup root is lct + asl over
+    detached transport nodes: one backward pass gives the classifier groups
+    the classification gradient alone and the navigator the raw transport
+    gradient. With alpha = 0 the warmup root is asl alone and the navigator
+    gets no gradient.
     """
     if not batch:
         raise ConfigError("empty batch")
@@ -446,7 +465,7 @@ def batch_objective(
         graph = _forward_graph(
             tensors, params, sample.patches, sample.y, top_k, beta_mode, topk_mode
         )
-        lct_terms.append(_ct_graph(graph, tensors, params, cfg.start_layer))
+        lct_terms.append(_ct_graph(graph, tensors, params, cfg.start_layer, warmup))
         asl_terms.append(_asl_graph(graph.probs, sample.y, cfg))
 
     def mean_node(terms: list[ad.Tensor]) -> ad.Tensor:
@@ -457,8 +476,9 @@ def batch_objective(
 
     lct = mean_node(lct_terms)
     asl = mean_node(asl_terms)
-    total = cfg.alpha * lct + asl
-    return total, lct, asl
+    if not warmup:
+        return cfg.alpha * lct + asl, lct, asl
+    return (lct + asl if cfg.alpha > 0.0 else asl), lct, asl
 
 
 def batch_loss_value(
@@ -538,13 +558,14 @@ def predict(params: ToyModelParams, patches) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # training
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     epochs: int = 30
     batch_size: int = 10
     seed: int = 42
@@ -621,14 +642,14 @@ def train(
             except NumericalError as err:
                 raise NumericalError(f"epoch {epoch}: {err}") from err
             step += 1
-            bc1 = 1.0 - cfg.beta1**step
-            bc2 = 1.0 - cfg.beta2**step
+            bc1 = 1.0 - ADAM_BETA1**step
+            bc2 = 1.0 - ADAM_BETA2**step
             for name, arr in arrays.items():
                 g = bundle.partials[name]
-                m_state[name] = cfg.beta1 * m_state[name] + (1.0 - cfg.beta1) * g
-                v_state[name] = cfg.beta2 * v_state[name] + (1.0 - cfg.beta2) * (g * g)
+                m_state[name] = ADAM_BETA1 * m_state[name] + (1.0 - ADAM_BETA1) * g
+                v_state[name] = ADAM_BETA2 * v_state[name] + (1.0 - ADAM_BETA2) * (g * g)
                 arr -= cfg.learning_rate * (m_state[name] / bc1) / (
-                    np.sqrt(v_state[name] / bc2) + cfg.adam_epsilon
+                    np.sqrt(v_state[name] / bc2) + ADAM_EPSILON
                 )
             weight = len(batch)
             total_sum += bundle.total * weight
@@ -714,17 +735,24 @@ def _array_from_payload(obj, name: str) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.size != int(np.prod(shape)):
         raise ParseError(f"array {name!r} has {arr.size} values for shape {shape}")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"array {name!r} has NaN or Inf values")
     return arr.reshape(shape)
 
 
-def _load_json(path) -> dict:
+def load_json(path) -> dict:
+    """A JSON object read from a file; an unreadable file, malformed JSON or
+    any other top-level value raises ParseError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON at line {err.lineno}") from err
     except OSError as err:
         raise ParseError(f"{path}: {err}") from err
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return payload
 
 
 def save_dataset(samples, path, meta: dict | None = None) -> None:
@@ -754,7 +782,7 @@ def save_dataset(samples, path, meta: dict | None = None) -> None:
 
 
 def load_dataset(path) -> list[SyntheticSample]:
-    payload = _load_json(path)
+    payload = load_json(path)
     if payload.get("format") != DATASET_FORMAT:
         raise ParseError(f"{path}: not a dataset file")
     try:
@@ -794,7 +822,7 @@ def save_checkpoint(params: ToyModelParams, path, extra: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
-    payload = _load_json(path)
+    payload = load_json(path)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"{path}: not a checkpoint file")
     try:

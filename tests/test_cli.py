@@ -221,6 +221,38 @@ class TestEvalCommand:
         assert code == 2
         assert "ParseError" in capsys.readouterr().err
 
+    def test_zero_patch_exits_8(self, tmp_path, capsys):
+        ckpt, data = tmp_path / "ckpt.json", tmp_path / "data.json"
+        model_mod.save_checkpoint(model_mod.init_params(6, 16, 3), ckpt)
+        samples = model_mod.generate_dataset(6, 16, 16, 4, 0.3, seed=3)
+        samples[1].patches[:, 5] = 0.0
+        model_mod.save_dataset(samples, data)
+        code = main(
+            ["eval", "--checkpoint", str(ckpt), "--dataset", str(data), "--out", str(tmp_path / "eval")]
+        )
+        assert code == 8
+        assert "DegenerateVectorError" in capsys.readouterr().err
+
+    def test_nonfinite_checkpoint_exits_2(self, tiny_run, tmp_path, capsys):
+        _, run_dir, _ = tiny_run
+        payload = json.loads((run_dir / "checkpoint.json").read_text())
+        payload["params"]["head.b1"]["data"][0] = float("nan")
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(payload))
+        code = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(ckpt),
+                "--dataset",
+                str(run_dir / "dataset.json"),
+                "--out",
+                str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 2
+        assert "head.b1" in capsys.readouterr().err
+
 
 class TestExportPlan:
     def test_export_writes_resampled_grid(self, tiny_run, tmp_path, capsys):

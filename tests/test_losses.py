@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctalign import autodiff
 from ctalign import model as model_mod
 from ctalign.distributions import make_point_set
 from ctalign.errors import NumericalError, ShapeError
@@ -204,26 +205,69 @@ class TestLossGradients:
             )
 
 
+OFF_DEFAULT_CASES = pytest.mark.parametrize(
+    ("loss_fields", "modes"),
+    [
+        ({}, {"topk_mode": "binary"}),
+        ({}, {"beta_mode": "literal"}),
+        ({"start_layer": 2}, {}),
+        ({}, {"top_k": 2}),
+    ],
+    ids=["binary-topk", "literal-beta", "start-layer-2", "top-k-2"],
+)
+
+
+def assert_model_groups_follow_classification_only(loss_fields=None, **modes):
+    params, batch = tiny_instance(9, batch=2)
+    loss_fields = loss_fields or {}
+    warm = warmup_gradients(params, batch, LossConfig(alpha=1.0, **loss_fields), **modes)
+    asl_only = loss_gradients(params, batch, LossConfig(alpha=0.0, **loss_fields), **modes)
+    for name in warm.partials:
+        if name.startswith("navigator."):
+            continue
+        assert np.array_equal(warm.partials[name], asl_only.partials[name])
+
+
+def assert_navigator_follows_raw_transport(loss_fields=None, **modes):
+    params, batch = tiny_instance(10, batch=2)
+    cfg = LossConfig(alpha=1.0, **(loss_fields or {}))
+    warm = warmup_gradients(params, batch, cfg, **modes)
+    joint = loss_gradients(params, batch, cfg, **modes)
+    # the classification term never touches the temperature, so the full
+    # objective's navigator gradient is the raw transport gradient
+    assert np.array_equal(
+        warm.partials["navigator.log_temperature"],
+        joint.partials["navigator.log_temperature"],
+    )
+
+
 class TestWarmupGradients:
     def test_model_groups_follow_classification_only(self):
-        params, batch = tiny_instance(9, batch=2)
-        warm = warmup_gradients(params, batch, LossConfig(alpha=1.0))
-        asl_only = loss_gradients(params, batch, LossConfig(alpha=0.0))
-        for name in warm.partials:
-            if name.startswith("navigator."):
-                continue
-            assert np.array_equal(warm.partials[name], asl_only.partials[name])
+        assert_model_groups_follow_classification_only()
+
+    @OFF_DEFAULT_CASES
+    def test_model_groups_follow_classification_only_off_defaults(self, loss_fields, modes):
+        assert_model_groups_follow_classification_only(loss_fields, **modes)
 
     def test_navigator_follows_raw_transport(self):
-        params, batch = tiny_instance(10, batch=2)
-        warm = warmup_gradients(params, batch, LossConfig(alpha=1.0))
-        joint = loss_gradients(params, batch, LossConfig(alpha=1.0))
-        # the classification term never touches the temperature, so the full
-        # objective's navigator gradient is the raw transport gradient
-        assert np.array_equal(
-            warm.partials["navigator.log_temperature"],
-            joint.partials["navigator.log_temperature"],
-        )
+        assert_navigator_follows_raw_transport()
+
+    @OFF_DEFAULT_CASES
+    def test_navigator_follows_raw_transport_off_defaults(self, loss_fields, modes):
+        assert_navigator_follows_raw_transport(loss_fields, **modes)
+
+    def test_one_backward_pass(self, monkeypatch):
+        roots = []
+        original = autodiff.backward
+
+        def counting(root):
+            roots.append(root)
+            original(root)
+
+        monkeypatch.setattr(autodiff, "backward", counting)
+        params, batch = tiny_instance(13)
+        warmup_gradients(params, batch, LossConfig(alpha=1.0))
+        assert len(roots) == 1
 
     def test_alpha_zero_leaves_navigator_untouched(self):
         params, batch = tiny_instance(11)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctalign import model as model_mod
-from ctalign.errors import ConfigError, ParseError, ShapeError
+from ctalign.errors import ConfigError, DegenerateVectorError, ParseError, ShapeError
 from ctalign.model import (
     BACKGROUND,
     EpochStats,
@@ -196,6 +196,20 @@ class TestPredict:
         with pytest.raises(ShapeError):
             encode(params, SyntheticSample(empty, np.array([1, 0, 0]), np.zeros(0, dtype=np.int64)))
 
+    @pytest.mark.parametrize("zeroed", ["patch", "label-column"])
+    def test_zero_norm_column_rejected(self, zeroed):
+        params = init_params(n_labels=6, dim=16, depth=3)
+        patches = np.random.default_rng(1).normal(size=(16, 16))
+        if zeroed == "patch":
+            patches[:, 3] = 0.0
+        else:
+            params.label_table[:, 2] = 0.0
+        with pytest.raises(DegenerateVectorError):
+            predict(params, patches)
+        y = np.array([0, 0, 1, 0, 0, 0])
+        with pytest.raises(DegenerateVectorError):
+            encode(params, SyntheticSample(patches, y, np.full(16, BACKGROUND)))
+
 
 class TestLocalizationReport:
     def test_hand_constructed_counts(self):
@@ -368,6 +382,14 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_dataset(path)
 
+    def test_non_object_json_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+        with pytest.raises(ParseError):
+            load_dataset(path)
+
     def test_unknown_arch_key_ignored(self, tmp_path):
         # checkpoints written before an arch field was dropped still load
         params = init_params(n_labels=3, dim=4, depth=1, seed=43)
@@ -387,6 +409,16 @@ class TestSerialization:
         payload["params"]["navigator.extra"] = {"shape": [1], "data": [0.0]}
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_nonfinite_parameter_rejected(self, tmp_path):
+        params = init_params(n_labels=3, dim=4, depth=1, seed=45)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        payload = json.loads(path.read_text())
+        payload["params"]["head.b1"]["data"][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="head.b1"):
             load_checkpoint(path)
 
     def test_empty_dataset_save_rejected(self, tmp_path):
