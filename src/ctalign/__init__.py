@@ -14,13 +14,14 @@ from .distributions import (
     make_point_set,
 )
 from .errors import CTAlignError
-from .losses import GradientBundle, LossConfig, asl_loss, combined_loss, loss_gradients
+from .losses import GradientBundle, LossConfig, asl_loss, loss_gradients
 from .metrics import MetricsReport, average_precision, map_score, prf_suite
 from .model import (
     EncodeResult,
     SyntheticSample,
     ToyModelParams,
     TrainConfig,
+    batch_loss_value,
     encode,
     generate_dataset,
     init_params,
@@ -43,7 +44,6 @@ from .transport import (
     ct_distance,
     export_plan_grid,
     forward_plan,
-    layerwise_ct,
     navigator_distance,
     sinkhorn_ot,
 )
@@ -67,9 +67,9 @@ __all__ = [
     "asl_loss",
     "average_precision",
     "backward_plan",
+    "batch_loss_value",
     "build_beta",
     "build_theta",
-    "combined_loss",
     "cosine_similarity_matrix",
     "cost_matrix",
     "ct_distance",
@@ -80,7 +80,6 @@ __all__ = [
     "generate_dataset",
     "grad_check",
     "init_params",
-    "layerwise_ct",
     "loss_gradients",
     "make_point_set",
     "map_score",

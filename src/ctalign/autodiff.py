@@ -1,19 +1,17 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Covers exactly the operations the training graph needs: broadcast-aware
-elementwise arithmetic, 2-D matmul, exp/sqrt, sigmoid/gelu and sum
-reductions. A composite with closed-form partials becomes one node by
-constructing ``Tensor(value, parents, vjp)`` directly. Values are plain
-ndarrays; after ``backward(root)`` each reachable tensor holds its
-accumulated gradient in ``.grad``.
+The generic ops are the few the model builds on the tape: broadcast-aware
+add, sub and mul, 2-D matmul and transpose (the Gram-Schmidt loop, the
+label-guided patch scores, sums of loss terms). Every other formula is one
+node with closed-form partials, built by constructing
+``Tensor(value, parents, vjp)`` directly. Values are plain ndarrays; after
+``backward(root)`` each reachable tensor holds its accumulated gradient in
+``.grad``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_GELU_C = float(np.sqrt(2.0 / np.pi))
-_GELU_A = 0.044715
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -51,27 +49,13 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_const(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_const(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -115,23 +99,6 @@ def mul(a, b) -> Tensor:
     return Tensor(a.value * b.value, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = _const(a), _const(b)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.value, a.value.shape),
-            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
-        )
-
-    return Tensor(a.value / b.value, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = _const(a)
-    return Tensor(-a.value, (a,), lambda g: (-g,))
-
-
 def matmul(a, b) -> Tensor:
     a, b = _const(a), _const(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
@@ -146,58 +113,6 @@ def matmul(a, b) -> Tensor:
 def transpose(a) -> Tensor:
     a = _const(a)
     return Tensor(a.value.T, (a,), lambda g: (g.T,))
-
-
-def exp(a) -> Tensor:
-    a = _const(a)
-    out = np.exp(a.value)
-    return Tensor(out, (a,), lambda g: (g * out,))
-
-
-def sqrt(a) -> Tensor:
-    a = _const(a)
-    out = np.sqrt(a.value)
-    return Tensor(out, (a,), lambda g: (g * (0.5 / out),))
-
-
-def sigmoid(a) -> Tensor:
-    a = _const(a)
-    v = a.value
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def gelu(a) -> Tensor:
-    """Tanh-form gelu with a closed-form local derivative."""
-    a = _const(a)
-    v = a.value
-    u = _GELU_C * (v + _GELU_A * v**3)
-    t = np.tanh(u)
-    out = 0.5 * v * (1.0 + t)
-
-    def vjp(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * v * v)
-        local = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du
-        return (g * local,)
-
-    return Tensor(out, (a,), vjp)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _const(a)
-    out = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, a.value.shape),)
-
-    return Tensor(out, (a,), vjp)
 
 
 def backward(root: Tensor) -> None:

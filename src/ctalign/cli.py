@@ -76,6 +76,8 @@ def _config_from_sources(file_values: dict, overrides: dict) -> ExperimentConfig
         raise ConfigError(f"beta mode must be masked or literal, got {cfg.beta_mode!r}")
     if cfg.topk_mode not in ("sparse", "binary"):
         raise ConfigError(f"topk mode must be sparse or binary, got {cfg.topk_mode!r}")
+    if cfg.eval_top_k < 1:
+        raise ConfigError(f"eval_top_k must be >= 1, got {cfg.eval_top_k}")
     return cfg
 
 
@@ -266,7 +268,9 @@ def run_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
             f"asl {row.asl:.6f} val_map {row.val_map:.6f}"
         )
 
-    scores = np.stack([model_mod.predict(params, s.patches) for s in test_set])
+    # the test split is the validation set, so the last epoch already scored
+    # it with the final parameters
+    scores = result.val_scores
     labels = np.stack([s.y for s in test_set])
     reports = [
         prf_suite(scores, labels),

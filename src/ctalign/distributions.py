@@ -58,7 +58,8 @@ def as_label_vector(y) -> np.ndarray:
     if arr.size == 0:
         raise ShapeError("label vector must be nonempty")
     out = arr.astype(np.int64, copy=True)
-    if not np.array_equal(out, arr) or not np.isin(out, (0, 1)).all():
+    # elementwise compares: np.isin costs more than the rest of this check
+    if not np.array_equal(out, arr) or not ((out == 0) | (out == 1)).all():
         raise ShapeError("label vector entries must be 0 or 1")
     return out
 
@@ -75,6 +76,20 @@ def normalized_labels(y) -> np.ndarray:
 def default_top_k(n_points: int) -> int:
     """Default patch budget of 200, clamped to the available point count."""
     return min(200, n_points)
+
+
+def top_k_softmax(scores, k: int):
+    """Top-k masked softmax of a score vector.
+
+    Returns the masked logits (the k largest scores verbatim, -inf
+    elsewhere), their softmax theta (exact zeros off the top k), and a
+    closure for g times the partial of theta in the scores,
+    theta * (g - theta . g). The top-k choice is piecewise constant, so the
+    partial is zero off the top k.
+    """
+    logits = top_k_mask(scores, k)
+    theta = softmax_stable(logits)
+    return logits, theta, lambda g: theta * (g - theta @ g)
 
 
 def build_theta(patch_emb, label_emb, y, k: int, topk_mode: str = "sparse") -> np.ndarray:
@@ -97,7 +112,7 @@ def build_theta(patch_emb, label_emb, y, k: int, topk_mode: str = "sparse") -> n
         raise ShapeError(f"{L.shape[1]} label columns but {yhat.size} labels")
     scores = E.T @ (L @ yhat)
     if topk_mode == "sparse":
-        return softmax_stable(top_k_mask(scores, k))
+        return top_k_softmax(scores, k)[1]
     if topk_mode == "binary":
         masked = top_k_mask(scores, k)
         return softmax_stable(np.where(np.isneginf(masked), 0.0, 1.0))

@@ -1,5 +1,6 @@
-"""Asymmetric multi-label classification loss and the combined objective that
-adds the layer-wise transport divergence on top of it.
+"""Asymmetric multi-label classification loss and the gradients of the
+training objective, alpha * layer-wise transport divergence + that loss,
+which model.batch_objective builds.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import numpy as np
 from . import autodiff
 from .distributions import as_label_vector
 from .errors import NumericalError, ShapeError
-from .transport import layerwise_ct
 
 PROB_CLAMP = 1e-7
 
@@ -79,24 +79,6 @@ def asl_loss(probs, y, cfg: LossConfig | None = None) -> float:
     cross-entropy.
     """
     return asl_with_partial(probs, y, cfg)[0]
-
-
-def combined_loss(outputs, targets, cfg: LossConfig | None = None) -> tuple[float, float, float]:
-    """alpha * layerwise transport + asymmetric loss, from encoder outputs.
-
-    ``outputs`` must expose per_layer_patches, per_layer_labels,
-    probabilities, and navigator (any encode result does). Returns
-    (total, lct, asl); total - alpha * lct - asl is exactly zero.
-    """
-    cfg = cfg or LossConfig()
-    lct = layerwise_ct(
-        outputs.per_layer_patches,
-        outputs.per_layer_labels,
-        outputs.navigator,
-        cfg.start_layer,
-    )
-    asl = asl_loss(outputs.probabilities, targets, cfg)
-    return cfg.alpha * lct + asl, lct, asl
 
 
 def loss_gradients(

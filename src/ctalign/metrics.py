@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import as_label_vector
-from .errors import ShapeError, UndefinedMetricError
+from .errors import ConfigError, ShapeError, UndefinedMetricError
 from .numerics import as_matrix, as_vector
 
 
@@ -88,7 +88,7 @@ def top_k_predictions(scores, k: int) -> np.ndarray:
     """
     s = as_matrix(scores, "scores")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     preds = np.zeros(s.shape, dtype=np.int64)
     kk = min(k, s.shape[1])
     for i in range(s.shape[0]):

@@ -2,9 +2,12 @@
 residual patch encoder with a learnable label-embedding table, an adaptive
 classification head, and a deterministic Adam training loop.
 
-Every training-time quantity is built once as a reverse-mode graph (see
-autodiff); plain-array views of the same forward pass feed the library-level
-transport and loss functions.
+The forward pass is built once as a reverse-mode graph (see autodiff) whose
+nodes are whole formulas with closed-form partials: each residual block,
+each column normalisation, the top-k patch-weight softmax, the head, each
+layer's transport cost and the classification loss. Only the Gram-Schmidt
+loop of the label frame runs on generic tape ops. Plain-array views of the
+same forward pass feed the library-level transport functions.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import csv
 import dataclasses
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,22 +30,21 @@ from .distributions import (
     default_top_k,
     make_point_set,
     normalized_labels,
+    top_k_softmax,
 )
 from .errors import ConfigError, DegenerateVectorError, NumericalError, ParseError, ShapeError
 from .losses import LossConfig, asl_with_partial, loss_gradients, warmup_gradients
 from .metrics import map_score
-from .numerics import (
-    as_matrix,
-    cosine_similarity_matrix,
-    cosine_similarity_partials,
-    top_k_mask,
-)
+from .numerics import as_matrix, cosine_similarity_matrix, cosine_similarity_partials
 from .transport import NavigatorParams, backward_plan, ct_kernel
 
 BACKGROUND = -1
 
 DATASET_FORMAT = "ctalign.dataset.v1"
 CHECKPOINT_FORMAT = "ctalign.checkpoint.v1"
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +272,51 @@ class _Graph:
     thetas: list[ad.Tensor] | None
     theta_logits: list[ad.Tensor] | None
     beta: np.ndarray | None
-    feature: ad.Tensor
+    feature: np.ndarray
     probs: ad.Tensor
 
 
+def _gelu(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Tanh-form gelu of z and a closure for its elementwise derivative."""
+    u = _GELU_C * (z + _GELU_A * z**3)
+    t = np.tanh(u)
+
+    def derivative() -> np.ndarray:
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * z * z)
+        return 0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * du
+
+    return 0.5 * z * (1.0 + t), derivative
+
+
+def _residual(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """x + gelu(w @ x + b) as one node."""
+    act, derivative = _gelu(w.value @ x.value + b.value)
+
+    def vjp(g):
+        gz = g * derivative()
+        return g + w.value.T @ gz, gz @ x.value.T, gz.sum(axis=1, keepdims=True)
+
+    return ad.Tensor(x.value + act, (x, w, b), vjp)
+
+
 def _normalize_columns(t: ad.Tensor, radius: float) -> ad.Tensor:
-    # every embedding lives on a sphere of radius sqrt(dim): without the bound
-    # the transport term zeroes itself by inflating one norm (a single patch,
-    # or the label table) until the patch weights go one-hot; with radius 1
-    # the inner products are too small for confident logits or sharp weights
-    return t * (radius / _column_norms(t))
+    """radius * t / |t| column by column, as one node.
 
-
-def _column_norms(t: ad.Tensor) -> ad.Tensor:
-    norms = ad.sqrt(ad.tsum(t * t, axis=0, keepdims=True))
-    if (norms.value == 0.0).any():
+    Every embedding lives on a sphere of radius sqrt(dim): without the bound
+    the transport term zeroes itself by inflating one norm (a single patch,
+    or the label table) until the patch weights go one-hot; with radius 1
+    the inner products are too small for confident logits or sharp weights.
+    """
+    norms = np.sqrt((t.value * t.value).sum(axis=0, keepdims=True))
+    if (norms == 0.0).any():
         raise DegenerateVectorError("zero-norm embedding column has no direction")
-    return norms
+    scale = radius / norms
+
+    def vjp(g):
+        unit = t.value / norms
+        return (scale * (g - unit * (unit * g).sum(axis=0, keepdims=True)),)
+
+    return ad.Tensor(t.value * scale, (t,), vjp)
 
 
 def _orthonormal_columns(t: ad.Tensor, radius: float) -> ad.Tensor:
@@ -302,14 +333,60 @@ def _orthonormal_columns(t: ad.Tensor, radius: float) -> ad.Tensor:
     for j in range(m):
         pick = np.zeros((m, 1))
         pick[j, 0] = 1.0
-        v = t @ ad.Tensor(pick)
+        v = t @ pick
         for u in units:
-            v = v - u @ (ad.transpose(u) @ v)
-        v = v / _column_norms(v)
+            v = v - u @ (u.T @ v)
+        v = _normalize_columns(v, 1.0)
         units.append(v)
-        col = (radius * v) @ ad.Tensor(pick.T)
+        col = (radius * v) @ pick.T
         out = col if out is None else out + col
     return out
+
+
+def _sparse_theta(score: ad.Tensor, k: int) -> tuple[ad.Tensor, ad.Tensor]:
+    """Top-k softmax patch weights over (n, 1) scores as one node, and the
+    masked logits (-inf off the top k) it is taken over."""
+    masked, theta, partial = top_k_softmax(score.value.ravel(), k)
+    logits = score + np.where(np.isneginf(masked), -np.inf, 0.0).reshape(-1, 1)
+    node = ad.Tensor(
+        theta.reshape(-1, 1), (logits,), lambda g: (partial(g.ravel()).reshape(-1, 1),)
+    )
+    return node, logits
+
+
+def _head(
+    x: ad.Tensor, labels: ad.Tensor, tensors: dict[str, ad.Tensor]
+) -> tuple[ad.Tensor, np.ndarray]:
+    """Class probabilities from the last patch and label layers as one node,
+    plus the pooled feature they score.
+
+    The feature is the patch mean plus a gelu correction; each class logit
+    is its label column's inner product with the feature.
+    """
+    w1, b1, w2, b2 = (tensors[f"head.{k}"] for k in ("w1", "b1", "w2", "b2"))
+    pooled = x.value.sum(axis=1, keepdims=True) * (1.0 / x.value.shape[1])
+    hidden, derivative = _gelu(w1.value @ pooled + b1.value)
+    feature = pooled + (w2.value @ hidden + b2.value)
+    logits = labels.value.T @ feature
+    e = np.exp(-np.abs(logits))  # sigmoid without overflow on either side
+    probs = np.where(logits >= 0, 1.0, e) / (1.0 + e)
+
+    def vjp(g):
+        g_logits = g * probs * (1.0 - probs)
+        g_feature = labels.value @ g_logits
+        g_pre = (w2.value.T @ g_feature) * derivative()
+        g_pooled = g_feature + w1.value.T @ g_pre
+        g_x = np.broadcast_to(g_pooled / x.value.shape[1], x.value.shape)
+        return (
+            g_x,
+            feature @ g_logits.T,
+            g_pre @ pooled.T,
+            g_pre,
+            g_feature @ hidden.T,
+            g_feature,
+        )
+
+    return ad.Tensor(probs, (x, labels, w1, b1, w2, b2), vjp), feature
 
 
 def _forward_graph(
@@ -335,14 +412,14 @@ def _forward_graph(
     patch_layers = []
     for i in range(params.depth):
         w, b = tensors[f"encoder.{i}.weight"], tensors[f"encoder.{i}.bias"]
-        x = _normalize_columns(x + ad.gelu(w @ x + b), radius)
+        x = _normalize_columns(_residual(x, w, b), radius)
         patch_layers.append(x)
 
     t = tensors["label.table"]
     label_layers = []
     for i in range(params.depth):
         w, b = tensors[f"label.{i}.weight"], tensors[f"label.{i}.bias"]
-        t = _orthonormal_columns(t + ad.gelu(w @ t + b), radius)
+        t = _orthonormal_columns(_residual(t, w, b), radius)
         label_layers.append(t)
 
     thetas = theta_logits = None
@@ -353,18 +430,12 @@ def _forward_graph(
             raise ShapeError(f"{yv.size} labels but model has {params.n_labels}")
         beta = build_beta(y, beta_mode)
         k = top_k if top_k is not None else default_top_k(n)
-        if k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {k}")
-        yhat = ad.Tensor(normalized_labels(y).reshape(-1, 1))
+        yhat = normalized_labels(y).reshape(-1, 1)
         thetas, theta_logits = [], []
         for e_l, l_l in zip(patch_layers, label_layers):
             score = e_l.T @ (l_l @ yhat)  # (n, 1)
             if topk_mode == "sparse":
-                masked = top_k_mask(score.value.ravel(), k)
-                offsets = np.where(np.isneginf(masked), -np.inf, 0.0).reshape(-1, 1)
-                logits = score + offsets
-                ez = ad.exp(logits - logits.value.max())
-                theta = ez / ad.tsum(ez, axis=0, keepdims=True)
+                theta, logits = _sparse_theta(score, k)
             elif topk_mode == "binary":
                 # rank indicator: piecewise constant in the parameters
                 tv = build_theta(e_l.value, l_l.value, y, k, "binary")
@@ -375,10 +446,7 @@ def _forward_graph(
             thetas.append(theta)
             theta_logits.append(logits)
 
-    e_cls = ad.tsum(patch_layers[-1], axis=1, keepdims=True) * (1.0 / n)
-    hidden = ad.gelu(tensors["head.w1"] @ e_cls + tensors["head.b1"])
-    feature = e_cls + (tensors["head.w2"] @ hidden + tensors["head.b2"])
-    probs = ad.sigmoid(label_layers[-1].T @ feature)
+    probs, feature = _head(patch_layers[-1], label_layers[-1], tensors)
     return _Graph(patch_layers, label_layers, thetas, theta_logits, beta, feature, probs)
 
 
@@ -541,7 +609,7 @@ def encode(
     return EncodeResult(
         per_layer_patches=per_layer_patches,
         per_layer_labels=per_layer_labels,
-        global_feature=graph.feature.value.ravel().copy(),
+        global_feature=graph.feature.ravel(),
         probabilities=graph.probs.value.ravel().copy(),
         navigator=params.navigator,
     )
@@ -591,8 +659,12 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """The trained parameters, one trace row per epoch, and the last epoch's
+    validation scores (None without validation samples)."""
+
     params: ToyModelParams
     trace: list[EpochStats]
+    val_scores: np.ndarray | None = None
 
 
 def train(
@@ -622,6 +694,7 @@ def train(
     bs = min(cfg.batch_size, n)
     step = 0
     trace: list[EpochStats] = []
+    scores = None
     for epoch in range(1, cfg.epochs + 1):
         grad_fn = (
             warmup_gradients if epoch <= cfg.lct_warmup_epochs else loss_gradients
@@ -663,7 +736,7 @@ def train(
         trace.append(
             EpochStats(epoch, total_sum / n, lct_sum / n, asl_sum / n, val_map)
         )
-    return TrainResult(params=params, trace=trace)
+    return TrainResult(params=params, trace=trace, val_scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +861,7 @@ def load_dataset(path) -> list[SyntheticSample]:
     try:
         meta = payload["meta"]
         d, n = int(meta["feature_dim"]), int(meta["n_patches"])
+        n_labels = int(meta["n_labels"])
         raw = payload["samples"]
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"{path}: missing dataset fields ({err})") from err
@@ -795,11 +869,18 @@ def load_dataset(path) -> list[SyntheticSample]:
     for i, item in enumerate(raw):
         try:
             patches = np.asarray(item["patches"], dtype=np.float64).reshape(d, n)
-            y = np.asarray(item["y"], dtype=np.int64)
-            assignment = np.asarray(item["assignment"], dtype=np.int64)
+            # read as floats so that a fractional entry is rejected, not truncated
+            y = np.asarray(item["y"], dtype=np.float64)
+            assignment = np.asarray(item["assignment"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"{path}: bad sample {i} ({err})") from err
-        samples.append(SyntheticSample(patches, y, assignment))
+        if y.shape != (n_labels,) or not np.isin(y, (0, 1)).all():
+            raise ParseError(f"{path}: sample {i} needs {n_labels} labels, each 0 or 1")
+        if assignment.shape != (n,) or not np.isin(assignment, range(BACKGROUND, n_labels)).all():
+            raise ParseError(
+                f"{path}: sample {i} needs {n} patch assignments in {BACKGROUND}..{n_labels - 1}"
+            )
+        samples.append(SyntheticSample(patches, y.astype(np.int64), assignment.astype(np.int64)))
     return samples
 
 

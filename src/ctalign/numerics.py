@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import (
     AllMaskedError,
+    ConfigError,
     DegenerateVectorError,
     EvaluationError,
     NumericalError,
@@ -77,7 +78,7 @@ def top_k_mask(scores, k: int) -> np.ndarray:
     """
     s = as_vector(scores, "scores")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     if not np.isfinite(s).all():
         raise NumericalError("scores must be finite")
     if k >= s.size:

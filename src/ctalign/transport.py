@@ -215,29 +215,6 @@ def ct_distance(p: DiscretePointSet, q: DiscretePointSet, params: NavigatorParam
     )
 
 
-def layerwise_ct(
-    per_layer_p,
-    per_layer_q,
-    params: NavigatorParams | None = None,
-    start_layer: int = 1,
-) -> float:
-    """Sum of per-layer divergences from 1-indexed start_layer through the top."""
-    if len(per_layer_p) != len(per_layer_q):
-        raise ShapeError(
-            f"{len(per_layer_p)} patch layers but {len(per_layer_q)} label layers"
-        )
-    depth = len(per_layer_p)
-    if depth == 0:
-        raise ConfigError("need at least one layer")
-    if not 1 <= start_layer <= depth:
-        raise ConfigError(f"start_layer {start_layer} outside 1..{depth}")
-    total = 0.0
-    for p, q in zip(per_layer_p[start_layer - 1 :], per_layer_q[start_layer - 1 :]):
-        k = _kernel(p, q, params)
-        total += k.forward_cost + k.backward_cost
-    return total
-
-
 @dataclass(frozen=True)
 class SinkhornResult:
     cost: float

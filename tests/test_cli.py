@@ -176,6 +176,15 @@ class TestTrainCommand:
         code = main(["train", "--mode", "beta=weird", "--out", str(tmp_path / "out")])
         assert code == 4
 
+    def test_eval_top_k_below_one_exits_4_before_fit(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"eval_top_k": 0}))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 4
+        assert "eval_top_k" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
 
 class TestEvalCommand:
     def test_eval_reports_both_regimes(self, tiny_run, tmp_path, capsys):
@@ -252,6 +261,32 @@ class TestEvalCommand:
         )
         assert code == 2
         assert "head.b1" in capsys.readouterr().err
+
+    def eval_args(self, run_dir, tmp_path, dataset=None):
+        return [
+            "eval",
+            "--checkpoint",
+            str(run_dir / "checkpoint.json"),
+            "--dataset",
+            str(dataset or run_dir / "dataset.json"),
+            "--out",
+            str(tmp_path / "eval"),
+        ]
+
+    def test_truncated_assignment_exits_2(self, tiny_run, tmp_path, capsys):
+        _, run_dir, _ = tiny_run
+        payload = json.loads((run_dir / "dataset.json").read_text())
+        for item in payload["samples"]:
+            item["assignment"].pop()
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(payload))
+        assert main(self.eval_args(run_dir, tmp_path, data)) == 2
+        assert "ParseError" in capsys.readouterr().err
+
+    def test_topk_eval_zero_exits_4(self, tiny_run, tmp_path, capsys):
+        _, run_dir, _ = tiny_run
+        assert main(self.eval_args(run_dir, tmp_path) + ["--topk-eval", "0"]) == 4
+        assert "ConfigError" in capsys.readouterr().err
 
 
 class TestExportPlan:

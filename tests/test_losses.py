@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,19 +7,16 @@ from hypothesis import strategies as st
 
 from ctalign import autodiff
 from ctalign import model as model_mod
-from ctalign.distributions import make_point_set
 from ctalign.errors import NumericalError, ShapeError
 from ctalign.losses import (
     GradientBundle,
     LossConfig,
     asl_loss,
     asl_with_partial,
-    combined_loss,
     loss_gradients,
     warmup_gradients,
 )
 from ctalign.numerics import grad_check
-from ctalign.transport import NavigatorParams
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -100,44 +96,40 @@ class TestAslLoss:
         assert g[0] == 0.0 and g[1] == 0.0 and g[2] != 0.0
 
 
-def outputs_for(params, sample):
-    return model_mod.encode(params, sample)
+def objective_parts(params, batch, cfg, **modes):
+    """(total, lct, asl) of the batch objective as floats."""
+    root, lct, asl = model_mod.batch_objective(
+        model_mod.parameter_tensors(params), params, batch, cfg, **modes
+    )
+    return float(root.value), float(lct.value), float(asl.value)
 
 
 class TestCombinedLoss:
+    """The objective alpha * lct + asl, through model.batch_objective."""
+
     def test_alpha_zero_equals_asl_exactly(self):
         params, batch = tiny_instance(2)
-        enc = outputs_for(params, batch[0])
-        cfg = LossConfig(alpha=0.0)
-        total, lct, asl = combined_loss(enc, batch[0].y, cfg)
+        total, lct, asl = objective_parts(params, batch, LossConfig(alpha=0.0))
         assert total == asl
         assert lct > 0.0
-
-    def test_additivity_exact(self):
-        params, batch = tiny_instance(3)
-        enc = outputs_for(params, batch[0])
-        cfg = LossConfig(alpha=0.7, start_layer=2)
-        total, lct, asl = combined_loss(enc, batch[0].y, cfg)
-        assert total - cfg.alpha * lct - asl == 0.0
+        assert model_mod.batch_loss_value(params, batch, LossConfig(alpha=0.0)) == asl
 
     def test_identical_single_points_and_perfect_prediction(self):
-        point = np.array([[1.0], [1.0]])
-        ps = make_point_set(point, [1.0])
-        outputs = SimpleNamespace(
-            per_layer_patches=[ps],
-            per_layer_labels=[ps],
-            probabilities=np.array([1.0 - 1e-7]),
-            navigator=NavigatorParams(),
-        )
-        total, lct, asl = combined_loss(outputs, [1], LossConfig())
+        # one patch on its label's ray: both transport costs vanish, and at
+        # radius^2 = 18 the class logit puts the probability in the clamp
+        dim = 18
+        params = model_mod.init_params(n_labels=1, dim=dim, depth=1, seed=0)
+        params.encoder_layers[0].weight[...] = 0.0
+        params.label_table[...] = np.eye(dim)[:, :1]
+        sample = model_mod.SyntheticSample(np.eye(dim)[:, :1], np.array([1]), np.array([0]))
+        total, lct, _ = objective_parts(params, [sample], LossConfig())
         assert total < 1e-6
         assert lct == pytest.approx(0.0, abs=1e-12)
 
     def test_start_layer_reflected(self):
         params, batch = tiny_instance(4)
-        enc = outputs_for(params, batch[0])
-        _, lct_all, _ = combined_loss(enc, batch[0].y, LossConfig(start_layer=1))
-        _, lct_last, _ = combined_loss(enc, batch[0].y, LossConfig(start_layer=2))
+        _, lct_all, _ = objective_parts(params, batch, LossConfig(start_layer=1))
+        _, lct_last, _ = objective_parts(params, batch, LossConfig(start_layer=2))
         assert lct_all > lct_last > 0.0
 
 

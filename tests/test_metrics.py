@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctalign.errors import ShapeError, UndefinedMetricError
+from ctalign.errors import ConfigError, ShapeError, UndefinedMetricError
 from ctalign.metrics import (
     average_precision,
     map_score,
@@ -169,5 +169,5 @@ class TestTopKPredictions:
         assert np.array_equal(preds, [[1, 0, 0]])
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             top_k_predictions(np.ones((1, 2)), 0)

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from ctalign import autodiff as ad
 from ctalign import model as model_mod
+from ctalign.distributions import build_theta
 from ctalign.errors import ConfigError, DegenerateVectorError, ParseError, ShapeError
 from ctalign.model import (
     BACKGROUND,
@@ -28,6 +30,7 @@ from ctalign.model import (
     train,
     write_trace_csv,
 )
+from ctalign.numerics import grad_check
 
 
 class TestGenerateDataset:
@@ -211,6 +214,74 @@ class TestPredict:
             encode(params, SyntheticSample(patches, y, np.full(16, BACKGROUND)))
 
 
+def assert_node_partials(rng, build, inputs, tol=1e-7):
+    """Check every input's partial of sum(weights * build(*tensors)) against
+    central differences, for one random weighting of the node's output."""
+    weights = rng.normal(size=build(*map(ad.Tensor, inputs)).shape)
+    tensors = [ad.Tensor(v) for v in inputs]
+    ad.backward(build(*tensors) * weights)
+    for i, tensor in enumerate(tensors):
+
+        def f(vec, i=i):
+            args = [ad.Tensor(v) for v in inputs]
+            args[i] = ad.Tensor(vec.reshape(inputs[i].shape))
+            return float((build(*args).value * weights).sum())
+
+        assert grad_check(f, lambda _x, t=tensor: t.grad.ravel(), inputs[i].ravel()) <= tol
+
+
+SEEDS = pytest.mark.parametrize("seed", range(3))
+
+
+class TestClosedFormNodes:
+    """Each one-node formula of the forward pass on random shapes."""
+
+    @SEEDS
+    def test_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n = rng.integers(2, 7, size=2)
+        inputs = [rng.normal(size=(d, n)), rng.normal(size=(d, d)), rng.normal(size=(d, 1))]
+        assert_node_partials(rng, model_mod._residual, inputs)
+
+    @SEEDS
+    def test_normalize_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n = rng.integers(2, 7, size=2)
+        radius = rng.uniform(0.5, 3.0)
+        assert_node_partials(
+            rng, lambda t: model_mod._normalize_columns(t, radius), [rng.normal(size=(d, n))]
+        )
+
+    @pytest.mark.parametrize("m", [3, 6], ids=["gram-schmidt", "m-above-d"])
+    def test_label_frame(self, m):
+        rng = np.random.default_rng(m)
+        assert_node_partials(
+            rng, lambda t: model_mod._orthonormal_columns(t, 2.0), [rng.normal(size=(4, m))]
+        )
+
+    @SEEDS
+    def test_head(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n, m, hh = rng.integers(2, 7, size=4)
+        names = ("head.w1", "head.b1", "head.w2", "head.b2")
+
+        def build(x, labels, *head):
+            return model_mod._head(x, labels, dict(zip(names, head)))[0]
+
+        shapes = [(d, n), (d, m), (hh, d), (hh, 1), (d, hh), (d, 1)]
+        assert_node_partials(rng, build, [rng.normal(size=shape) for shape in shapes])
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_sparse_theta(self, k):
+        rng = np.random.default_rng(k)
+        score = rng.normal(size=(8, 1))
+        theta, logits = model_mod._sparse_theta(ad.Tensor(score), k)
+        assert np.isneginf(logits.value).sum() == 8 - k
+        # a 1-D embedding against a unit label reproduces the raw scores
+        assert np.array_equal(theta.value.ravel(), build_theta(score.T, np.ones((1, 1)), [1], k))
+        assert_node_partials(rng, lambda s: model_mod._sparse_theta(s, k)[0], [score])
+
+
 class TestLocalizationReport:
     def test_hand_constructed_counts(self):
         params = aligned_toy_model()
@@ -273,6 +344,13 @@ class TestTrain:
         params2, _, _ = self.tiny_setup()
         no_val = train(params2, samples, cfg)
         assert all(math.isnan(row.val_map) for row in no_val.trace)
+
+    def test_val_scores_are_final_predictions(self):
+        params, samples, cfg = self.tiny_setup()
+        result = train(params, samples, cfg, val_samples=samples[:4])
+        fresh = np.stack([predict(params, s.patches) for s in samples[:4]])
+        assert np.array_equal(result.val_scores, fresh)
+        assert train(params, samples, cfg).val_scores is None
 
     def test_updates_params_in_place(self):
         params, samples, cfg = self.tiny_setup()
@@ -420,6 +498,35 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="head.b1"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "assignment-cut",
+            "assignment-out-of-range",
+            "assignment-fractional",
+            "labels-cut",
+            "label-fractional",
+        ],
+    )
+    def test_inconsistent_sample_rejected(self, tmp_path, damage):
+        path = tmp_path / "data.json"
+        save_dataset(generate_dataset(3, 6, 8, 10, 0.3, seed=46), path)
+        payload = json.loads(path.read_text())
+        item = payload["samples"][4]
+        if damage == "assignment-cut":
+            item["assignment"].pop()
+        elif damage == "assignment-out-of-range":
+            item["assignment"][0] = 3
+        elif damage == "assignment-fractional":
+            item["assignment"][0] = 0.5
+        elif damage == "labels-cut":
+            item["y"].pop()
+        else:
+            item["y"][0] = 0.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="sample 4"):
+            load_dataset(path)
 
     def test_empty_dataset_save_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

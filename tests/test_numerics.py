@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ctalign.errors import (
     AllMaskedError,
+    ConfigError,
     DegenerateVectorError,
     EvaluationError,
     NumericalError,
@@ -88,7 +89,7 @@ class TestTopKMask:
         assert np.array_equal(out, [3.0, 7.0])
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             top_k_mask([1.0, 2.0], 0)
 
     def test_nonfinite_scores_rejected(self):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_point_sets, random_simplex
+from ctalign import model as model_mod
 from ctalign.distributions import make_point_set
 from ctalign.errors import (
     ConfigError,
@@ -13,6 +14,7 @@ from ctalign.errors import (
     NumericalError,
     ShapeError,
 )
+from ctalign.losses import LossConfig
 from ctalign.numerics import grad_check, softmax_stable, top_k_mask
 from ctalign.transport import (
     NavigatorParams,
@@ -22,7 +24,6 @@ from ctalign.transport import (
     ct_kernel,
     export_plan_grid,
     forward_plan,
-    layerwise_ct,
     sinkhorn_ot,
 )
 
@@ -290,38 +291,56 @@ class TestTemperatureLimits:
         assert (winning / p.weights >= 1.0 - 1e-5).all()
 
 
+def model_lct(params, sample, start_layer=1) -> float:
+    _, lct, _ = model_mod.batch_objective(
+        model_mod.parameter_tensors(params), params, [sample], LossConfig(start_layer=start_layer)
+    )
+    return float(lct.value)
+
+
+def layer_ct(params, sample, layer) -> float:
+    enc = model_mod.encode(params, sample)
+    return ct_distance(
+        enc.per_layer_patches[layer], enc.per_layer_labels[layer], params.navigator
+    ).total
+
+
 class TestLayerwiseCT:
+    """The trainer's layer-wise term is ct_distance summed over the layers
+    from start_layer on, evaluated on encode's point sets."""
+
+    @staticmethod
+    def instance(depth):
+        samples = model_mod.generate_dataset(3, 6, 6, 12, 0.3, seed=depth)
+        params = model_mod.init_params(n_labels=3, dim=6, depth=depth, seed=depth + 1)
+        params.navigator.log_temperature[...] = -0.7
+        return params, samples[0]
+
     def test_single_layer_equals_ct(self):
-        p, q = symmetric_2x2()
-        assert layerwise_ct([p], [q]) == pytest.approx(ct_distance(p, q).total, abs=1e-15)
+        params, sample = self.instance(1)
+        assert model_lct(params, sample) == pytest.approx(layer_ct(params, sample, 0), abs=1e-12)
 
     def test_two_identical_layers_double(self):
-        p, q = symmetric_2x2()
-        single = ct_distance(p, q).total
-        assert layerwise_ct([p, p], [q, q]) == pytest.approx(2 * single, abs=1e-12)
+        # a zero second block: the second layer repeats the first
+        params, sample = self.instance(2)
+        params.encoder_layers[1].weight[...] = 0.0
+        single = layer_ct(params, sample, 0)
+        assert model_lct(params, sample) == pytest.approx(2 * single, abs=1e-12)
 
     def test_start_at_final_layer(self):
-        rng = np.random.default_rng(1)
-        p1, q1 = random_point_sets(rng, 3, 2, 3)
-        p2, q2 = random_point_sets(rng, 3, 2, 3)
-        only_last = layerwise_ct([p1, p2], [q1, q2], start_layer=2)
-        assert only_last == pytest.approx(ct_distance(p2, q2).total, abs=1e-15)
+        params, sample = self.instance(2)
+        only_last = model_lct(params, sample, start_layer=2)
+        assert only_last == pytest.approx(layer_ct(params, sample, 1), abs=1e-12)
+        assert model_lct(params, sample) == pytest.approx(
+            layer_ct(params, sample, 0) + only_last, abs=1e-12
+        )
 
     def test_start_layer_out_of_range(self):
-        p, q = symmetric_2x2()
+        params, sample = self.instance(1)
         with pytest.raises(ConfigError):
-            layerwise_ct([p], [q], start_layer=2)
+            model_lct(params, sample, start_layer=2)
         with pytest.raises(ConfigError):
-            layerwise_ct([p], [q], start_layer=0)
-
-    def test_layer_count_mismatch(self):
-        p, q = symmetric_2x2()
-        with pytest.raises(ShapeError):
-            layerwise_ct([p, p], [q])
-
-    def test_empty_sequences(self):
-        with pytest.raises(ConfigError):
-            layerwise_ct([], [])
+            model_lct(params, sample, start_layer=0)
 
 
 class TestSinkhorn:
