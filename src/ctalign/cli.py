@@ -65,12 +65,20 @@ class ExperimentConfig:
     eval_top_k: int = 3
 
 
+# the value types each ExperimentConfig annotation admits; a bool is an int
+# to isinstance, so it is rejected on its own
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "int | None": (int, type(None))}
+
+
 def _config_from_sources(file_values: dict, overrides: dict) -> ExperimentConfig:
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(file_values) - known
+    fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(file_values) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = {**file_values, **{k: v for k, v in overrides.items() if v is not None}}
+    for name, value in merged.items():
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[fields[name]]):
+            raise ConfigError(f"config {name} must be {fields[name]}, got {value!r}")
     cfg = ExperimentConfig(**merged)
     if cfg.beta_mode not in ("masked", "literal"):
         raise ConfigError(f"beta mode must be masked or literal, got {cfg.beta_mode!r}")

@@ -6,7 +6,9 @@ The forward pass is built once as a reverse-mode graph (see autodiff) whose
 nodes are whole formulas with closed-form partials: each residual block,
 each column normalisation, the top-k patch-weight softmax, the head, each
 layer's transport cost and the classification loss. Only the Gram-Schmidt
-loop of the label frame runs on generic tape ops. Plain-array views of the
+loop of the label frame runs on generic tape ops. The label frames depend on
+the parameters alone, so they are built once per objective, predict or
+encode call and every sample's graph shares them. Plain-array views of the
 same forward pass feed the library-level transport functions.
 """
 
@@ -389,15 +391,30 @@ def _head(
     return ad.Tensor(probs, (x, labels, w1, b1, w2, b2), vjp), feature
 
 
+def _label_frames(tensors: dict[str, ad.Tensor], params: ToyModelParams) -> list[ad.Tensor]:
+    """The per-layer label frames. They depend on the parameters alone, so
+    one set serves every sample of a call."""
+    radius = math.sqrt(params.dim)
+    t = tensors["label.table"]
+    frames = []
+    for i in range(params.depth):
+        w, b = tensors[f"label.{i}.weight"], tensors[f"label.{i}.bias"]
+        t = _orthonormal_columns(_residual(t, w, b), radius)
+        frames.append(t)
+    return frames
+
+
 def _forward_graph(
     tensors: dict[str, ad.Tensor],
     params: ToyModelParams,
+    label_layers: list[ad.Tensor],
     patches,
     y,
     top_k: int | None,
     beta_mode: str,
     topk_mode: str,
 ) -> _Graph:
+    """One sample's patch branch over the shared label frames."""
     patches = as_matrix(patches, "patches")
     if patches.shape[0] != params.dim:
         raise ShapeError(
@@ -414,13 +431,6 @@ def _forward_graph(
         w, b = tensors[f"encoder.{i}.weight"], tensors[f"encoder.{i}.bias"]
         x = _normalize_columns(_residual(x, w, b), radius)
         patch_layers.append(x)
-
-    t = tensors["label.table"]
-    label_layers = []
-    for i in range(params.depth):
-        w, b = tensors[f"label.{i}.weight"], tensors[f"label.{i}.bias"]
-        t = _orthonormal_columns(_residual(t, w, b), radius)
-        label_layers.append(t)
 
     thetas = theta_logits = None
     beta = None
@@ -527,11 +537,12 @@ def batch_objective(
         raise ConfigError("empty batch")
     if not 1 <= cfg.start_layer <= params.depth:
         raise ConfigError(f"start_layer {cfg.start_layer} outside 1..{params.depth}")
+    frames = _label_frames(tensors, params)
     lct_terms = []
     asl_terms = []
     for sample in batch:
         graph = _forward_graph(
-            tensors, params, sample.patches, sample.y, top_k, beta_mode, topk_mode
+            tensors, params, frames, sample.patches, sample.y, top_k, beta_mode, topk_mode
         )
         lct_terms.append(_ct_graph(graph, tensors, params, cfg.start_layer, warmup))
         asl_terms.append(_asl_graph(graph.probs, sample.y, cfg))
@@ -590,14 +601,10 @@ def encode(
     sets (ground-truth weights) together with the pooled feature and head
     probabilities.
     """
+    tensors = parameter_tensors(params)
+    frames = _label_frames(tensors, params)
     graph = _forward_graph(
-        parameter_tensors(params),
-        params,
-        sample.patches,
-        sample.y,
-        top_k,
-        beta_mode,
-        topk_mode,
+        tensors, params, frames, sample.patches, sample.y, top_k, beta_mode, topk_mode
     )
     per_layer_patches = [
         make_point_set(e.value, th.value.ravel())
@@ -617,9 +624,9 @@ def encode(
 
 def predict(params: ToyModelParams, patches) -> np.ndarray:
     """Class probabilities for an unlabeled patch bag."""
-    graph = _forward_graph(
-        parameter_tensors(params), params, patches, None, None, "masked", "sparse"
-    )
+    tensors = parameter_tensors(params)
+    frames = _label_frames(tensors, params)
+    graph = _forward_graph(tensors, params, frames, patches, None, None, "masked", "sparse")
     return graph.probs.value.ravel().copy()
 
 

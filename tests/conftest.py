@@ -1,7 +1,7 @@
 """Shared fixtures and point-set helpers.
 
 The two session-scoped reference runs (stock config, and the same config
-with the transport term disabled) take about a minute each, so every test
+with the transport term disabled) take about half a minute each, so every test
 that needs a trained model reads their artifacts instead of fitting its own.
 """
 

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through cli.main with in-process argv."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from ctalign import model as model_mod
-from ctalign.cli import ExperimentConfig, main, run_train
+from ctalign.cli import ExperimentConfig, _config_from_sources, main, run_train
 
 
 def write_embedding(path: Path, points, weights=None) -> None:
@@ -184,6 +185,33 @@ class TestTrainCommand:
         assert code == 4
         assert "eval_top_k" in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"epochs": "2"},
+            {"epochs": 2.0},
+            {"seed": True},
+            {"alpha": "1"},
+            {"top_k": 2.5},
+            {"beta_mode": 1},
+        ],
+        ids=["int-as-str", "int-as-float", "int-as-bool", "float-as-str", "top-k-float", "str-as-int"],
+    )
+    def test_mistyped_config_value_exits_4_before_data(self, tmp_path, capsys, values):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"train_samples": 20, "test_samples": 10, **values}))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 4
+        assert next(iter(values)) in capsys.readouterr().err
+        assert not (out / "dataset.json").exists()
+
+    def test_config_accepts_every_default_and_int_for_float(self):
+        # the defaults hold one value of every field type, top_k's null included
+        assert _config_from_sources(dataclasses.asdict(ExperimentConfig()), {}) == ExperimentConfig()
+        cfg = _config_from_sources({"alpha": 1, "top_k": 3}, {})
+        assert cfg.alpha == 1 and cfg.top_k == 3
 
 
 class TestEvalCommand:
