@@ -80,13 +80,19 @@ def _config_from_sources(file_values: dict, overrides: dict) -> ExperimentConfig
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[fields[name]]):
             raise ConfigError(f"config {name} must be {fields[name]}, got {value!r}")
     cfg = ExperimentConfig(**merged)
-    if cfg.beta_mode not in ("masked", "literal"):
-        raise ConfigError(f"beta mode must be masked or literal, got {cfg.beta_mode!r}")
-    if cfg.topk_mode not in ("sparse", "binary"):
-        raise ConfigError(f"topk mode must be sparse or binary, got {cfg.topk_mode!r}")
+    _loss_config(merged)  # checks the patch and label weighting
+    if not 1 <= cfg.start_layer <= cfg.depth:
+        raise ConfigError(f"start_layer {cfg.start_layer} outside 1..{cfg.depth}")
     if cfg.eval_top_k < 1:
         raise ConfigError(f"eval_top_k must be >= 1, got {cfg.eval_top_k}")
     return cfg
+
+
+def _loss_config(values: dict) -> LossConfig:
+    """The LossConfig held in a flat config dict (ExperimentConfig's field
+    names, as stored in a checkpoint); absent fields keep their defaults."""
+    names = [f.name for f in dataclasses.fields(LossConfig)]
+    return LossConfig(**{name: values[name] for name in names if name in values})
 
 
 def _read_config_file(path: str | None) -> dict:
@@ -150,6 +156,8 @@ def _load_embedding_file(path: str) -> tuple[np.ndarray, np.ndarray | None]:
         data = payload["data"]
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"{path}: needs integer 'dim', 'count' and a 'data' list") from err
+    if dim < 1 or count < 1:
+        raise ParseError(f"{path}: 'dim' and 'count' must be >= 1, got {dim} and {count}")
     arr = np.asarray(data, dtype=np.float64).ravel()
     if arr.size != dim * count:
         raise ParseError(
@@ -259,15 +267,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
         batch_size=cfg.batch_size,
         lct_warmup_epochs=cfg.lct_warmup_epochs,
         seed=cfg.seed + 2,
-        top_k=cfg.top_k,
-        beta_mode=cfg.beta_mode,
-        topk_mode=cfg.topk_mode,
-        loss=LossConfig(
-            gamma_plus=cfg.gamma_plus,
-            gamma_minus=cfg.gamma_minus,
-            alpha=cfg.alpha,
-            start_layer=cfg.start_layer,
-        ),
+        loss=_loss_config(dataclasses.asdict(cfg)),
     )
     result = model_mod.train(params, train_set, train_cfg, val_samples=test_set)
     for row in result.trace:
@@ -284,9 +284,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path) -> dict:
         prf_suite(scores, labels),
         prf_suite(scores, labels, top_k=cfg.eval_top_k),
     ]
-    localization = model_mod.localization_report(
-        params, test_set, top_k=cfg.top_k, beta_mode=cfg.beta_mode, topk_mode=cfg.topk_mode
-    )
+    localization = model_mod.localization_report(params, test_set, train_cfg.loss)
 
     model_mod.save_checkpoint(
         params, out_dir / "checkpoint.json", extra={"config": dataclasses.asdict(cfg)}
@@ -331,37 +329,48 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _sweep_values(flag: str, kind: type, text: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as err:
+        raise ConfigError(f"{flag} expects comma-separated {kind.__name__} values, got {text!r}") from err
+
+
 def cmd_sweep(args) -> int:
+    file_values = _read_config_file(args.config)
     overrides = {"seed": args.seed, **_parse_modes(args.mode)}
-    base = _config_from_sources(_read_config_file(args.config), overrides)
-    out = _out_dir(args, "sweep")
-    axes: list[tuple[str, list]] = []
-    if args.alpha:
-        axes.append(("alpha", [float(v) for v in args.alpha.split(",")]))
-    if args.start_layer:
-        axes.append(("start_layer", [int(v) for v in args.start_layer.split(",")]))
-    if args.topk:
-        axes.append(("top_k", [int(v) for v in args.topk.split(",")]))
+    base = _config_from_sources(file_values, overrides)
+    sweeps = (
+        ("--alpha", "alpha", float, args.alpha),
+        ("--start-layer", "start_layer", int, args.start_layer),
+        ("--topk", "top_k", int, args.topk),
+    )
+    axes = {axis: _sweep_values(flag, kind, text) for flag, axis, kind, text in sweeps if text}
     if not axes:
         raise ConfigError("sweep needs at least one of --alpha, --start-layer, --topk")
+    # every run's config is checked before the first run generates data
+    runs = [
+        (axis, value, _config_from_sources(file_values, {**overrides, axis: value}))
+        for axis, values in axes.items()
+        for value in values
+    ]
+    out = _out_dir(args, "sweep")
     rows = []
-    for axis, values in axes:
-        for value in values:
-            cfg = dataclasses.replace(base, **{axis: value})
-            tag = f"{axis}_{value}".replace(".", "p")
-            print(f"--- sweep {axis}={value}")
-            summary = run_train(cfg, out / tag)
-            label = "w/o CT" if axis == "alpha" and value == 0 else f"{axis}={value}"
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": value,
-                    "label": label,
-                    "test_map": summary["test_map"],
-                    "localization": summary["localization"],
-                    "run_dir": summary["out_dir"],
-                }
-            )
+    for axis, value, cfg in runs:
+        tag = f"{axis}_{value}".replace(".", "p")
+        print(f"--- sweep {axis}={value}")
+        summary = run_train(cfg, out / tag)
+        label = "w/o CT" if axis == "alpha" and value == 0 else f"{axis}={value}"
+        rows.append(
+            {
+                "axis": axis,
+                "value": value,
+                "label": label,
+                "test_map": summary["test_map"],
+                "localization": summary["localization"],
+                "run_dir": summary["out_dir"],
+            }
+        )
     with open(out / "sweep_summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "value", "label", "test_map", "localization", "run_dir"])
@@ -380,7 +389,7 @@ def cmd_sweep(args) -> int:
     _write_effective_config(
         out,
         "sweep",
-        {"base": dataclasses.asdict(base), "axes": {a: v for a, v in axes}},
+        {"base": dataclasses.asdict(base), "axes": axes},
     )
     return 0
 
@@ -389,10 +398,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args, "eval")
     params, extra = model_mod.load_checkpoint(args.checkpoint)
     samples = model_mod.load_dataset(args.dataset)
-    stored = extra.get("config", {})
-    top_k = stored.get("top_k")
-    beta_mode = stored.get("beta_mode", "masked")
-    topk_mode = stored.get("topk_mode", "sparse")
+    loss_cfg = _loss_config(extra.get("config", {}))
     scores = np.stack([model_mod.predict(params, s.patches) for s in samples])
     labels = np.stack([s.y for s in samples])
     reports = [prf_suite(scores, labels), prf_suite(scores, labels, top_k=args.topk_eval)]
@@ -404,9 +410,7 @@ def cmd_eval(args) -> int:
                 + [f"{k}={FLOAT_FMT.format(row[k])}" for k in ("mAP", "CP", "CR", "CF1", "OP", "OR", "OF1")]
             )
         )
-    localization = model_mod.localization_report(
-        params, samples, top_k=top_k, beta_mode=beta_mode, topk_mode=topk_mode
-    )
+    localization = model_mod.localization_report(params, samples, loss_cfg)
     print(
         f"localization {FLOAT_FMT.format(localization.fraction)} "
         f"({localization.n_localized}/{localization.n_correct} correctly classified)"
@@ -424,6 +428,7 @@ def cmd_export_plan(args) -> int:
     out = _out_dir(args, "export-plan")
     params, extra = model_mod.load_checkpoint(args.checkpoint)
     samples = model_mod.load_dataset(args.dataset)
+    loss_cfg = _loss_config(extra.get("config", {}))
     if not 0 <= args.sample_index < len(samples):
         raise ConfigError(
             f"sample index {args.sample_index} outside 0..{len(samples) - 1}"
@@ -438,14 +443,7 @@ def cmd_export_plan(args) -> int:
             f"warning: label {args.label_index} is not in the sample's ground truth; "
             "exporting anyway"
         )
-    stored = extra.get("config", {})
-    enc = model_mod.encode(
-        params,
-        sample,
-        top_k=stored.get("top_k"),
-        beta_mode=stored.get("beta_mode", "masked"),
-        topk_mode=stored.get("topk_mode", "sparse"),
-    )
+    enc = model_mod.encode(params, sample, loss_cfg)
     plan = backward_plan(
         enc.per_layer_patches[-1], enc.per_layer_labels[-1], params.navigator
     )

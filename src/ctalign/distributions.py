@@ -78,29 +78,39 @@ def default_top_k(n_points: int) -> int:
     return min(200, n_points)
 
 
-def top_k_softmax(scores, k: int):
-    """Top-k masked softmax of a score vector.
+def theta_with_partial(patch_emb, label_emb, yhat, k: int, topk_mode: str = "sparse"):
+    """Label-guided patch weights theta and the source logits they come from.
 
-    Returns the masked logits (the k largest scores verbatim, -inf
-    elsewhere), their softmax theta (exact zeros off the top k), and a
-    closure for g times the partial of theta in the scores,
-    theta * (g - theta . g). The top-k choice is piecewise constant, so the
-    partial is zero off the top k.
+    Each (d, n) patch column is scored against the label-aware query
+    o = label_emb @ yhat, and the k largest scores are kept. "sparse" takes
+    theta as the softmax of those scores (exact zeros off the top k); "binary"
+    takes it as the softmax of a 1/0 top-k indicator, a dense two-level
+    vector. The logits are the kept scores verbatim with -inf elsewhere
+    ("sparse"), or log theta ("binary"). Also returns a closure mapping
+    (g_theta, g_logits) to the partials in patch_emb and label_emb; the top-k
+    choice is piecewise constant, so the partials are zero off the top k and
+    exactly zero everywhere in "binary".
     """
-    logits = top_k_mask(scores, k)
-    theta = softmax_stable(logits)
-    return logits, theta, lambda g: theta * (g - theta @ g)
+    query = label_emb @ yhat
+    logits = top_k_mask(patch_emb.T @ query, k)
+    if topk_mode == "sparse":
+        theta = softmax_stable(logits)
+
+        def partial(g_theta, g_logits):
+            g_score = g_logits + theta * (g_theta - theta @ g_theta)
+            return np.outer(query, g_score), np.outer(patch_emb @ g_score, yhat)
+
+        return logits, theta, partial
+    if topk_mode == "binary":
+        theta = softmax_stable(np.where(np.isneginf(logits), 0.0, 1.0))
+        zeros = np.zeros_like(patch_emb), np.zeros_like(label_emb)
+        return np.log(theta), theta, lambda g_theta, g_logits: zeros
+    raise ConfigError(f"unknown topk_mode {topk_mode!r}, expected one of {TOPK_MODES}")
 
 
 def build_theta(patch_emb, label_emb, y, k: int, topk_mode: str = "sparse") -> np.ndarray:
-    """Sparse label-guided patch weights.
-
-    Scores each patch column against the label-aware query o = label_emb @ yhat,
-    keeps the top k, and renormalizes with a softmax. "sparse" keeps the raw
-    scores of the survivors (masked entries become exact zeros); "binary"
-    replaces survivor scores with 1 before the softmax, which yields a dense
-    two-level vector.
-    """
+    """Label-guided patch weights: theta_with_partial's theta after checking
+    the shapes and normalizing the labels."""
     E = as_matrix(patch_emb, "patch embeddings")
     L = as_matrix(label_emb, "label embeddings")
     if E.shape[0] != L.shape[0]:
@@ -110,13 +120,7 @@ def build_theta(patch_emb, label_emb, y, k: int, topk_mode: str = "sparse") -> n
     yhat = normalized_labels(y)
     if yhat.size != L.shape[1]:
         raise ShapeError(f"{L.shape[1]} label columns but {yhat.size} labels")
-    scores = E.T @ (L @ yhat)
-    if topk_mode == "sparse":
-        return top_k_softmax(scores, k)[1]
-    if topk_mode == "binary":
-        masked = top_k_mask(scores, k)
-        return softmax_stable(np.where(np.isneginf(masked), 0.0, 1.0))
-    raise ConfigError(f"unknown topk_mode {topk_mode!r}, expected one of {TOPK_MODES}")
+    return theta_with_partial(E, L, yhat, k, topk_mode)[1]
 
 
 def build_beta(y, mode: str = "masked") -> np.ndarray:

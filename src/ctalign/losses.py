@@ -1,6 +1,7 @@
 """Asymmetric multi-label classification loss and the gradients of the
 training objective, alpha * layer-wise transport divergence + that loss,
-which model.batch_objective builds.
+which model.batch_objective builds. LossConfig carries every setting of that
+objective, the patch and label weighting included.
 """
 
 from __future__ import annotations
@@ -10,21 +11,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .distributions import as_label_vector
-from .errors import NumericalError, ShapeError
+from .distributions import BETA_MODES, TOPK_MODES, as_label_vector
+from .errors import ConfigError, NumericalError, ShapeError
 
 PROB_CLAMP = 1e-7
 
 
 @dataclass
 class LossConfig:
-    """gamma_plus/gamma_minus focus the positive/negative log terms; alpha
-    scales the transport term; start_layer is 1-indexed."""
+    """Settings of the training objective.
+
+    gamma_plus/gamma_minus focus the positive/negative log terms; alpha
+    scales the transport term; start_layer is 1-indexed. top_k is the patch
+    budget (None: distributions.default_top_k of the bag), topk_mode the
+    patch weighting (see distributions.theta_with_partial) and beta_mode the
+    label weighting (see distributions.build_beta). Those three are checked
+    here, so a bad value raises ConfigError before any sample is scored.
+    """
 
     gamma_plus: float = 0.0
     gamma_minus: float = 2.0
     alpha: float = 1.0
     start_layer: int = 1
+    top_k: int | None = None
+    beta_mode: str = "masked"
+    topk_mode: str = "sparse"
+
+    def __post_init__(self):
+        # a bool is an int to isinstance, so it is rejected on its own
+        if self.top_k is not None and (
+            isinstance(self.top_k, bool) or not isinstance(self.top_k, int) or self.top_k < 1
+        ):
+            raise ConfigError(f"top_k must be None or an integer >= 1, got {self.top_k!r}")
+        if self.beta_mode not in BETA_MODES:
+            raise ConfigError(f"beta_mode must be one of {BETA_MODES}, got {self.beta_mode!r}")
+        if self.topk_mode not in TOPK_MODES:
+            raise ConfigError(f"topk_mode must be one of {TOPK_MODES}, got {self.topk_mode!r}")
 
 
 @dataclass
@@ -81,30 +103,16 @@ def asl_loss(probs, y, cfg: LossConfig | None = None) -> float:
     return asl_with_partial(probs, y, cfg)[0]
 
 
-def loss_gradients(
-    model,
-    batch,
-    cfg: LossConfig | None = None,
-    top_k: int | None = None,
-    beta_mode: str = "masked",
-    topk_mode: str = "sparse",
-) -> GradientBundle:
+def loss_gradients(model, batch, cfg: LossConfig | None = None) -> GradientBundle:
     """Gradients of the batch-mean combined loss for every parameter group.
 
     Built by reverse-mode differentiation of the same graph the trainer runs;
     the finite-difference checker in numerics is the independent reference.
     """
-    return _step_gradients(model, batch, cfg, top_k, beta_mode, topk_mode, warmup=False)
+    return _step_gradients(model, batch, cfg, warmup=False)
 
 
-def warmup_gradients(
-    model,
-    batch,
-    cfg: LossConfig | None = None,
-    top_k: int | None = None,
-    beta_mode: str = "masked",
-    topk_mode: str = "sparse",
-) -> GradientBundle:
+def warmup_gradients(model, batch, cfg: LossConfig | None = None) -> GradientBundle:
     """Classification-phase gradients for the two-phase trainer.
 
     The classifier groups (encoder, label table and transforms, head) follow
@@ -115,18 +123,16 @@ def warmup_gradients(
     "alpha zero means transport nowhere in training" literally true. The
     reported total is the classification loss.
     """
-    return _step_gradients(model, batch, cfg, top_k, beta_mode, topk_mode, warmup=True)
+    return _step_gradients(model, batch, cfg, warmup=True)
 
 
-def _step_gradients(model, batch, cfg, top_k, beta_mode, topk_mode, warmup) -> GradientBundle:
+def _step_gradients(model, batch, cfg, warmup) -> GradientBundle:
     """One graph and one backward pass over model.batch_objective's root."""
     from . import model as model_mod  # deferred: model imports this module
 
     cfg = cfg or LossConfig()
     tensors = model_mod.parameter_tensors(model)
-    root, lct_t, asl_t = model_mod.batch_objective(
-        tensors, model, batch, cfg, top_k, beta_mode, topk_mode, warmup
-    )
+    root, lct_t, asl_t = model_mod.batch_objective(tensors, model, batch, cfg, warmup)
     autodiff.backward(root)
     partials = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.value))

@@ -4,11 +4,14 @@ classification head, and a deterministic Adam training loop.
 
 The forward pass is built once as a reverse-mode graph (see autodiff) whose
 nodes are whole formulas with closed-form partials: each residual block,
-each column normalisation, the top-k patch-weight softmax, the head, each
-layer's transport cost and the classification loss. Only the Gram-Schmidt
-loop of the label frame runs on generic tape ops. The label frames depend on
-the parameters alone, so they are built once per objective, predict or
-encode call and every sample's graph shares them. Plain-array views of the
+each column normalisation, the head, each layer's transport cost and the
+classification loss. A layer's transport node takes the label-guided patch
+weights from distributions.theta_with_partial, the same function behind
+build_theta, and adds their partials to its own. Only the Gram-Schmidt loop
+of the label frame runs on generic tape ops. The label frames depend on the
+parameters alone, so they are built once per objective, predict or encode
+call and every sample's graph shares them. The weighting settings (top_k,
+topk_mode, beta_mode) travel in losses.LossConfig. Plain-array views of the
 same forward pass feed the library-level transport functions.
 """
 
@@ -28,11 +31,10 @@ from .distributions import (
     DiscretePointSet,
     as_label_vector,
     build_beta,
-    build_theta,
     default_top_k,
     make_point_set,
     normalized_labels,
-    top_k_softmax,
+    theta_with_partial,
 )
 from .errors import ConfigError, DegenerateVectorError, NumericalError, ParseError, ShapeError
 from .losses import LossConfig, asl_with_partial, loss_gradients, warmup_gradients
@@ -269,10 +271,13 @@ def assign_parameters(params: ToyModelParams, vector) -> None:
 
 @dataclass
 class _Graph:
+    """One sample's forward pass; thetas holds theta_with_partial's
+    (logits, theta, partial) per layer, and it and beta are None without
+    labels."""
+
     patch_layers: list[ad.Tensor]
     label_layers: list[ad.Tensor]
-    thetas: list[ad.Tensor] | None
-    theta_logits: list[ad.Tensor] | None
+    thetas: list[tuple] | None
     beta: np.ndarray | None
     feature: np.ndarray
     probs: ad.Tensor
@@ -345,17 +350,6 @@ def _orthonormal_columns(t: ad.Tensor, radius: float) -> ad.Tensor:
     return out
 
 
-def _sparse_theta(score: ad.Tensor, k: int) -> tuple[ad.Tensor, ad.Tensor]:
-    """Top-k softmax patch weights over (n, 1) scores as one node, and the
-    masked logits (-inf off the top k) it is taken over."""
-    masked, theta, partial = top_k_softmax(score.value.ravel(), k)
-    logits = score + np.where(np.isneginf(masked), -np.inf, 0.0).reshape(-1, 1)
-    node = ad.Tensor(
-        theta.reshape(-1, 1), (logits,), lambda g: (partial(g.ravel()).reshape(-1, 1),)
-    )
-    return node, logits
-
-
 def _head(
     x: ad.Tensor, labels: ad.Tensor, tensors: dict[str, ad.Tensor]
 ) -> tuple[ad.Tensor, np.ndarray]:
@@ -410,11 +404,10 @@ def _forward_graph(
     label_layers: list[ad.Tensor],
     patches,
     y,
-    top_k: int | None,
-    beta_mode: str,
-    topk_mode: str,
+    cfg: LossConfig | None,
 ) -> _Graph:
-    """One sample's patch branch over the shared label frames."""
+    """One sample's patch branch over the shared label frames; y and cfg are
+    None for an unlabeled bag."""
     patches = as_matrix(patches, "patches")
     if patches.shape[0] != params.dim:
         raise ShapeError(
@@ -432,46 +425,40 @@ def _forward_graph(
         x = _normalize_columns(_residual(x, w, b), radius)
         patch_layers.append(x)
 
-    thetas = theta_logits = None
-    beta = None
+    thetas = beta = None
     if y is not None:
         yv = as_label_vector(y)
         if yv.size != params.n_labels:
             raise ShapeError(f"{yv.size} labels but model has {params.n_labels}")
-        beta = build_beta(y, beta_mode)
-        k = top_k if top_k is not None else default_top_k(n)
-        yhat = normalized_labels(y).reshape(-1, 1)
-        thetas, theta_logits = [], []
-        for e_l, l_l in zip(patch_layers, label_layers):
-            score = e_l.T @ (l_l @ yhat)  # (n, 1)
-            if topk_mode == "sparse":
-                theta, logits = _sparse_theta(score, k)
-            elif topk_mode == "binary":
-                # rank indicator: piecewise constant in the parameters
-                tv = build_theta(e_l.value, l_l.value, y, k, "binary")
-                theta = ad.Tensor(tv.reshape(-1, 1))
-                logits = ad.Tensor(np.log(tv).reshape(-1, 1))
-            else:
-                raise ConfigError(f"unknown topk_mode {topk_mode!r}")
-            thetas.append(theta)
-            theta_logits.append(logits)
+        beta = build_beta(y, cfg.beta_mode)
+        k = cfg.top_k if cfg.top_k is not None else default_top_k(n)
+        yhat = normalized_labels(y)
+        thetas = [
+            theta_with_partial(e.value, l.value, yhat, k, cfg.topk_mode)
+            for e, l in zip(patch_layers, label_layers)
+        ]
 
     probs, feature = _head(patch_layers[-1], label_layers[-1], tensors)
-    return _Graph(patch_layers, label_layers, thetas, theta_logits, beta, feature, probs)
+    return _Graph(patch_layers, label_layers, thetas, beta, feature, probs)
 
 
 def _ct_node(
-    graph: _Graph, idx: int, log_temperature: ad.Tensor, detached: bool = False
+    e: ad.Tensor,
+    l: ad.Tensor,
+    weights: tuple,
+    beta: np.ndarray,
+    log_temperature: ad.Tensor,
+    detached: bool = False,
 ) -> ad.Tensor:
-    """Layer idx's forward + backward transport cost as one tape node over
-    transport.ct_kernel. A detached node's only parent is the log
-    temperature, so its cost trains the navigator and nothing else."""
-    e, l = graph.patch_layers[idx], graph.label_layers[idx]
-    theta, logits = graph.thetas[idx], graph.theta_logits[idx]
+    """One layer's forward + backward transport cost as one tape node over
+    transport.ct_kernel. weights is theta_with_partial's (logits, theta,
+    partial) for e and l: the patch weights are a function of both, so the
+    node passes their partials on to those two parents. A detached node's
+    only parent is the log temperature, so its cost trains the navigator and
+    nothing else."""
+    logits, theta, theta_partial = weights
     cos = cosine_similarity_matrix(e.value, l.value)
-    k = ct_kernel(
-        cos, theta.value.ravel(), logits.value.ravel(), graph.beta, log_temperature.value[0]
-    )
+    k = ct_kernel(cos, theta, logits, beta, log_temperature.value[0])
     cost = k.forward_cost + k.backward_cost
     if detached:
         return ad.Tensor(
@@ -481,16 +468,15 @@ def _ct_node(
     def vjp(g):
         g_cos, g_theta, g_logits, g_log_tau = k.partials(float(g))
         g_e, g_l = cosine_similarity_partials(e.value, l.value, cos, g_cos)
-        return g_e, g_l, g_theta.reshape(-1, 1), g_logits.reshape(-1, 1), np.array([g_log_tau])
+        w_e, w_l = theta_partial(g_theta, g_logits)
+        return g_e + w_e, g_l + w_l, np.array([g_log_tau])
 
-    parents = (e, l, theta, logits, log_temperature)
-    return ad.Tensor(cost, parents, vjp)
+    return ad.Tensor(cost, (e, l, log_temperature), vjp)
 
 
 def _ct_graph(
     graph: _Graph,
     tensors: dict[str, ad.Tensor],
-    params: ToyModelParams,
     start_layer: int,
     detached: bool = False,
 ) -> ad.Tensor:
@@ -500,9 +486,11 @@ def _ct_graph(
     the normalizer of theta cancels inside the column softmax, which keeps
     exact zeros out of the log.
     """
+    log_temperature = tensors["navigator.log_temperature"]
+    layers = zip(graph.patch_layers, graph.label_layers, graph.thetas)
     acc = None
-    for idx in range(start_layer - 1, params.depth):
-        term = _ct_node(graph, idx, tensors["navigator.log_temperature"], detached)
+    for e, l, weights in list(layers)[start_layer - 1 :]:
+        term = _ct_node(e, l, weights, graph.beta, log_temperature, detached)
         acc = term if acc is None else acc + term
     return acc
 
@@ -519,9 +507,6 @@ def batch_objective(
     params: ToyModelParams,
     batch,
     cfg: LossConfig,
-    top_k: int | None = None,
-    beta_mode: str = "masked",
-    topk_mode: str = "sparse",
     warmup: bool = False,
 ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
     """The root one gradient step differentiates, plus the batch-mean
@@ -541,10 +526,8 @@ def batch_objective(
     lct_terms = []
     asl_terms = []
     for sample in batch:
-        graph = _forward_graph(
-            tensors, params, frames, sample.patches, sample.y, top_k, beta_mode, topk_mode
-        )
-        lct_terms.append(_ct_graph(graph, tensors, params, cfg.start_layer, warmup))
+        graph = _forward_graph(tensors, params, frames, sample.patches, sample.y, cfg)
+        lct_terms.append(_ct_graph(graph, tensors, cfg.start_layer, warmup))
         asl_terms.append(_asl_graph(graph.probs, sample.y, cfg))
 
     def mean_node(terms: list[ad.Tensor]) -> ad.Tensor:
@@ -560,18 +543,9 @@ def batch_objective(
     return (lct + asl if cfg.alpha > 0.0 else asl), lct, asl
 
 
-def batch_loss_value(
-    params: ToyModelParams,
-    batch,
-    cfg: LossConfig,
-    top_k: int | None = None,
-    beta_mode: str = "masked",
-    topk_mode: str = "sparse",
-) -> float:
+def batch_loss_value(params: ToyModelParams, batch, cfg: LossConfig) -> float:
     """Value of the batch objective; the probe function for gradient checks."""
-    total, _lct, _asl = batch_objective(
-        parameter_tensors(params), params, batch, cfg, top_k, beta_mode, topk_mode
-    )
+    total, _lct, _asl = batch_objective(parameter_tensors(params), params, batch, cfg)
     return float(total.value)
 
 
@@ -588,14 +562,9 @@ class EncodeResult:
     navigator: NavigatorParams
 
 
-def encode(
-    params: ToyModelParams,
-    sample,
-    top_k: int | None = None,
-    beta_mode: str = "masked",
-    topk_mode: str = "sparse",
-) -> EncodeResult:
-    """Training-style forward pass on one labeled sample.
+def encode(params: ToyModelParams, sample, cfg: LossConfig | None = None) -> EncodeResult:
+    """Training-style forward pass on one labeled sample, weighted as cfg's
+    top_k, topk_mode and beta_mode say.
 
     Returns per-layer patch point sets (label-guided weights) and label point
     sets (ground-truth weights) together with the pooled feature and head
@@ -604,11 +573,11 @@ def encode(
     tensors = parameter_tensors(params)
     frames = _label_frames(tensors, params)
     graph = _forward_graph(
-        tensors, params, frames, sample.patches, sample.y, top_k, beta_mode, topk_mode
+        tensors, params, frames, sample.patches, sample.y, cfg or LossConfig()
     )
     per_layer_patches = [
-        make_point_set(e.value, th.value.ravel())
-        for e, th in zip(graph.patch_layers, graph.thetas)
+        make_point_set(e.value, theta)
+        for e, (_logits, theta, _partial) in zip(graph.patch_layers, graph.thetas)
     ]
     per_layer_labels = [
         make_point_set(l.value, graph.beta) for l in graph.label_layers
@@ -626,7 +595,7 @@ def predict(params: ToyModelParams, patches) -> np.ndarray:
     """Class probabilities for an unlabeled patch bag."""
     tensors = parameter_tensors(params)
     frames = _label_frames(tensors, params)
-    graph = _forward_graph(tensors, params, frames, patches, None, None, "masked", "sparse")
+    graph = _forward_graph(tensors, params, frames, patches, None, None)
     return graph.probs.value.ravel().copy()
 
 
@@ -644,9 +613,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 10
     seed: int = 42
-    top_k: int | None = None
-    beta_mode: str = "masked"
-    topk_mode: str = "sparse"
     # transport weight is held at zero for this many leading epochs, the
     # stand-in for the pretrained encoders the alignment loss assumes: from
     # a random init its gradient is ~30x the classification gradient and
@@ -711,14 +677,7 @@ def train(
         for start in range(0, n, bs):
             batch = [train_samples[i] for i in order[start : start + bs]]
             try:
-                bundle = grad_fn(
-                    params,
-                    batch,
-                    cfg.loss,
-                    top_k=cfg.top_k,
-                    beta_mode=cfg.beta_mode,
-                    topk_mode=cfg.topk_mode,
-                )
+                bundle = grad_fn(params, batch, cfg.loss)
             except NumericalError as err:
                 raise NumericalError(f"epoch {epoch}: {err}") from err
             step += 1
@@ -761,13 +720,12 @@ class LocalizationReport:
 def localization_report(
     params: ToyModelParams,
     samples,
-    top_k: int | None = None,
+    cfg: LossConfig | None = None,
     prob_threshold: float = 0.5,
     mass_threshold: float = 0.5,
-    beta_mode: str = "masked",
-    topk_mode: str = "sparse",
 ) -> LocalizationReport:
-    """How often the final-layer backward plan finds the true patches.
+    """How often the final-layer backward plan finds the true patches, with
+    the patches weighted as in encode(params, sample, cfg).
 
     A sample counts as correctly classified when thresholded probabilities
     reproduce its label set exactly; it counts as localized when, for every
@@ -779,7 +737,7 @@ def localization_report(
     n_localized = 0
     for sample in samples:
         # the head never reads the labels, so these are predict's probabilities
-        enc = encode(params, sample, top_k=top_k, beta_mode=beta_mode, topk_mode=topk_mode)
+        enc = encode(params, sample, cfg)
         if not np.array_equal((enc.probabilities > prob_threshold).astype(np.int64), sample.y):
             continue
         n_correct += 1
@@ -934,7 +892,10 @@ def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
                 f"{path}: parameter {name!r} has shape {loaded.shape}, expected {arr.shape}"
             )
         arr[...] = loaded
-    return params, payload.get("extra", {})
+    extra = payload.get("extra", {})
+    if not isinstance(extra, dict) or not isinstance(extra.get("config", {}), dict):
+        raise ParseError(f"{path}: 'extra' and its 'config' must be JSON objects")
+    return params, extra
 
 
 def write_trace_csv(trace, path) -> None:

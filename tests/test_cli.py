@@ -24,6 +24,31 @@ def write_embedding(path: Path, points, weights=None) -> None:
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
+def write_checkpoint_variant(run_dir: Path, tmp_path: Path, mutate) -> Path:
+    """A copy of run_dir's checkpoint with mutate applied to its payload."""
+    payload = json.loads((run_dir / "checkpoint.json").read_text())
+    mutate(payload)
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def unreachable(*_args, **_kwargs):
+    raise AssertionError("a sample was scored")
+
+
+# a checkpoint whose stored config is unreadable fails before any sample is scored
+BAD_STORED_CONFIG = pytest.mark.parametrize(
+    ("mutate", "code", "error"),
+    [
+        (lambda p: p.update(extra=[1]), 2, "ParseError"),
+        (lambda p: p["extra"].update(config="x"), 2, "ParseError"),
+        (lambda p: p["extra"]["config"].update(top_k="3"), 4, "ConfigError"),
+    ],
+    ids=["extra-not-object", "config-not-object", "top-k-as-str"],
+)
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """Small but real training run whose artifacts feed eval / export tests."""
@@ -110,6 +135,23 @@ class TestDistance:
         write_embedding(tgt, [[1.0, 0.0]])
         code = main(["distance", str(src), str(tgt), "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dim": 2, "count": 0, "data": []},
+            {"dim": 0, "count": 2, "data": []},
+            {"dim": -2, "count": -1, "data": [1.0, 0.0]},
+        ],
+        ids=["zero-count", "zero-dim", "negative-dim-and-count"],
+    )
+    def test_empty_or_negative_shape_exits_2(self, tmp_path, capsys, payload):
+        src, tgt = tmp_path / "a.json", tmp_path / "b.json"
+        src.write_text(json.dumps(payload))
+        write_embedding(tgt, [[1.0, 0.0]])
+        code = main(["distance", str(src), str(tgt), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "ParseError" in capsys.readouterr().err
 
     def test_weight_count_mismatch_exits_2(self, tmp_path):
         src, tgt = tmp_path / "a.json", tmp_path / "b.json"
@@ -316,6 +358,17 @@ class TestEvalCommand:
         assert main(self.eval_args(run_dir, tmp_path) + ["--topk-eval", "0"]) == 4
         assert "ConfigError" in capsys.readouterr().err
 
+    @BAD_STORED_CONFIG
+    def test_bad_stored_config_exits_before_scoring(
+        self, tiny_run, tmp_path, capsys, monkeypatch, mutate, code, error
+    ):
+        _, run_dir, _ = tiny_run
+        ckpt = write_checkpoint_variant(run_dir, tmp_path, mutate)
+        monkeypatch.setattr(model_mod, "predict", unreachable)
+        args = ["eval", "--checkpoint", str(ckpt), "--dataset", str(run_dir / "dataset.json")]
+        assert main(args + ["--out", str(tmp_path / "eval")]) == code
+        assert error in capsys.readouterr().err
+
 
 class TestExportPlan:
     def test_export_writes_resampled_grid(self, tiny_run, tmp_path, capsys):
@@ -383,6 +436,18 @@ class TestExportPlan:
             ]
         )
         assert code == 4
+
+    @BAD_STORED_CONFIG
+    def test_bad_stored_config_exits_before_scoring(
+        self, tiny_run, tmp_path, capsys, monkeypatch, mutate, code, error
+    ):
+        _, run_dir, _ = tiny_run
+        ckpt = write_checkpoint_variant(run_dir, tmp_path, mutate)
+        monkeypatch.setattr(model_mod, "encode", unreachable)
+        args = ["export-plan", "--checkpoint", str(ckpt), "--dataset", str(run_dir / "dataset.json")]
+        args += ["--sample-index", "0", "--label-index", "0", "--out", str(tmp_path / "plan")]
+        assert main(args) == code
+        assert error in capsys.readouterr().err
 
     def test_non_square_patch_count_exits_5(self, tmp_path, capsys):
         # 8 patches cannot form a square grid; no training needed to hit this
@@ -479,3 +544,23 @@ class TestSweep:
     def test_sweep_without_axes_exits_4(self, tmp_path):
         code = main(["sweep", "--out", str(tmp_path / "sweep")])
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha", "x"], ["--start-layer", "1.5"], ["--topk", "2,two"]],
+        ids=["alpha", "start-layer", "topk"],
+    )
+    def test_unparseable_list_exits_4_naming_the_flag(self, tmp_path, capsys, flags):
+        assert main(["sweep", *flags, "--out", str(tmp_path / "sweep")]) == 4
+        assert flags[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha", "0", "--topk", "0"], ["--alpha", "0", "--start-layer", "0"]],
+        ids=["topk-0", "start-layer-0"],
+    )
+    def test_bad_swept_value_exits_4_before_the_first_run(self, tmp_path, capsys, flags):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *flags, "--out", str(out)]) == 4
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()

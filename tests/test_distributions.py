@@ -10,6 +10,7 @@ from ctalign.distributions import (
     default_top_k,
     make_point_set,
     normalized_labels,
+    theta_with_partial,
 )
 from ctalign.errors import (
     ConfigError,
@@ -17,6 +18,7 @@ from ctalign.errors import (
     ShapeError,
     SimplexError,
 )
+from ctalign.numerics import grad_check
 
 
 class TestBuildTheta:
@@ -99,6 +101,41 @@ class TestBuildTheta:
         base = build_theta(patch, labels, [0, 1], k=4)
         permuted = build_theta(patch[:, perm], labels, [0, 1], k=4)
         assert np.allclose(permuted, base[perm], atol=1e-15)
+
+
+class TestThetaWithPartial:
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_sparse_partials_match_central_differences(self, k):
+        rng = np.random.default_rng(k)
+        patch, labels, yhat = rng.normal(size=(3, 6)), rng.normal(size=(3, 2)), np.array([0.5, 0.5])
+        logits, theta, partial = theta_with_partial(patch, labels, yhat, k)
+        kept = np.isfinite(logits)
+        # no tie at rank k, so the top-k set holds for every probe point
+        ranked = np.sort(patch.T @ (labels @ yhat))[::-1]
+        assert k == 6 or ranked[k - 1] - ranked[k] > 1e-3
+        g_theta, g_logits = rng.normal(size=6), np.where(kept, rng.normal(size=6), 0.0)
+        g_patch, g_labels = partial(g_theta, g_logits)
+
+        def f(e, l):
+            lg, th, _ = theta_with_partial(e, l, yhat, k)
+            return float(g_theta @ th + g_logits[kept] @ lg[kept])
+
+        def probe_patch(v):
+            return f(v.reshape(patch.shape), labels)
+
+        def probe_labels(v):
+            return f(patch, v.reshape(labels.shape))
+
+        assert grad_check(probe_patch, lambda _x: g_patch.ravel(), patch.ravel()) <= 1e-7
+        assert grad_check(probe_labels, lambda _x: g_labels.ravel(), labels.ravel()) <= 1e-7
+
+    def test_binary_partials_are_exactly_zero(self):
+        rng = np.random.default_rng(4)
+        patch, labels = rng.normal(size=(3, 6)), rng.normal(size=(3, 2))
+        logits, theta, partial = theta_with_partial(patch, labels, np.array([1.0, 0.0]), 2, "binary")
+        assert np.array_equal(logits, np.log(theta))
+        g_patch, g_labels = partial(rng.normal(size=6), rng.normal(size=6))
+        assert not g_patch.any() and not g_labels.any()
 
 
 class TestBuildBeta:

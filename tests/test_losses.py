@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ctalign import autodiff
 from ctalign import model as model_mod
-from ctalign.errors import NumericalError, ShapeError
+from ctalign.errors import ConfigError, NumericalError, ShapeError
 from ctalign.losses import (
     GradientBundle,
     LossConfig,
@@ -96,10 +96,10 @@ class TestAslLoss:
         assert g[0] == 0.0 and g[1] == 0.0 and g[2] != 0.0
 
 
-def objective_parts(params, batch, cfg, **modes):
+def objective_parts(params, batch, cfg):
     """(total, lct, asl) of the batch objective as floats."""
     root, lct, asl = model_mod.batch_objective(
-        model_mod.parameter_tensors(params), params, batch, cfg, **modes
+        model_mod.parameter_tensors(params), params, batch, cfg
     )
     return float(root.value), float(lct.value), float(asl.value)
 
@@ -133,19 +133,37 @@ class TestCombinedLoss:
         assert lct_all > lct_last > 0.0
 
 
-def assert_matches_finite_differences(cfg, **modes):
+def assert_matches_finite_differences(cfg):
     # two samples, so the shared label frames sum gradients from both graphs
     params, batch = tiny_instance(6, n_labels=3, dim=6, n_patches=4, depth=2, batch=2)
-    flat = flat_gradient(params, loss_gradients(params, batch, cfg, **modes))
+    flat = flat_gradient(params, loss_gradients(params, batch, cfg))
     x0 = model_mod.flatten_parameters(params).copy()
 
     def f(vec):
         model_mod.assign_parameters(params, vec)
-        value = model_mod.batch_loss_value(params, batch, cfg, **modes)
+        value = model_mod.batch_loss_value(params, batch, cfg)
         model_mod.assign_parameters(params, x0)
         return value
 
     assert grad_check(f, lambda _x: flat, x0) <= 1e-4
+
+
+class TestLossConfig:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"top_k": 0},
+            {"top_k": "3"},
+            {"top_k": 2.0},
+            {"top_k": True},
+            {"beta_mode": "uniform"},
+            {"topk_mode": "soft"},
+        ],
+        ids=["top-k-zero", "top-k-str", "top-k-float", "top-k-bool", "beta-mode", "topk-mode"],
+    )
+    def test_bad_weighting_rejected(self, fields):
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            LossConfig(**fields)
 
 
 class TestLossGradients:
@@ -160,18 +178,18 @@ class TestLossGradients:
         assert_matches_finite_differences(LossConfig(alpha=1.0))
 
     @pytest.mark.parametrize(
-        ("loss_fields", "modes"),
+        "loss_fields",
         [
-            ({}, {"topk_mode": "binary"}),
-            ({}, {"beta_mode": "literal"}),
-            ({"start_layer": 2}, {}),
-            ({"gamma_plus": 1.0}, {}),
-            ({}, {"top_k": 2}),
+            {"topk_mode": "binary"},
+            {"beta_mode": "literal"},
+            {"start_layer": 2},
+            {"gamma_plus": 1.0},
+            {"top_k": 2},
         ],
         ids=["binary-topk", "literal-beta", "start-layer-2", "gamma-plus-1", "top-k-2"],
     )
-    def test_matches_finite_differences_off_defaults(self, loss_fields, modes):
-        assert_matches_finite_differences(LossConfig(alpha=1.0, **loss_fields), **modes)
+    def test_matches_finite_differences_off_defaults(self, loss_fields):
+        assert_matches_finite_differences(LossConfig(alpha=1.0, **loss_fields))
 
     def test_duplicated_sample_equals_single(self):
         # both copies share one set of label frames, so a joint step sums the
@@ -227,33 +245,33 @@ class TestLossGradients:
 
 
 OFF_DEFAULT_CASES = pytest.mark.parametrize(
-    ("loss_fields", "modes"),
+    "loss_fields",
     [
-        ({}, {"topk_mode": "binary"}),
-        ({}, {"beta_mode": "literal"}),
-        ({"start_layer": 2}, {}),
-        ({}, {"top_k": 2}),
+        {"topk_mode": "binary"},
+        {"beta_mode": "literal"},
+        {"start_layer": 2},
+        {"top_k": 2},
     ],
     ids=["binary-topk", "literal-beta", "start-layer-2", "top-k-2"],
 )
 
 
-def assert_model_groups_follow_classification_only(loss_fields=None, **modes):
+def assert_model_groups_follow_classification_only(loss_fields=None):
     params, batch = tiny_instance(9, batch=2)
     loss_fields = loss_fields or {}
-    warm = warmup_gradients(params, batch, LossConfig(alpha=1.0, **loss_fields), **modes)
-    asl_only = loss_gradients(params, batch, LossConfig(alpha=0.0, **loss_fields), **modes)
+    warm = warmup_gradients(params, batch, LossConfig(alpha=1.0, **loss_fields))
+    asl_only = loss_gradients(params, batch, LossConfig(alpha=0.0, **loss_fields))
     for name in warm.partials:
         if name.startswith("navigator."):
             continue
         assert np.array_equal(warm.partials[name], asl_only.partials[name])
 
 
-def assert_navigator_follows_raw_transport(loss_fields=None, **modes):
+def assert_navigator_follows_raw_transport(loss_fields=None):
     params, batch = tiny_instance(10, batch=2)
     cfg = LossConfig(alpha=1.0, **(loss_fields or {}))
-    warm = warmup_gradients(params, batch, cfg, **modes)
-    joint = loss_gradients(params, batch, cfg, **modes)
+    warm = warmup_gradients(params, batch, cfg)
+    joint = loss_gradients(params, batch, cfg)
     # the classification term never touches the temperature, so the full
     # objective's navigator gradient is the raw transport gradient
     assert np.array_equal(
@@ -267,15 +285,15 @@ class TestWarmupGradients:
         assert_model_groups_follow_classification_only()
 
     @OFF_DEFAULT_CASES
-    def test_model_groups_follow_classification_only_off_defaults(self, loss_fields, modes):
-        assert_model_groups_follow_classification_only(loss_fields, **modes)
+    def test_model_groups_follow_classification_only_off_defaults(self, loss_fields):
+        assert_model_groups_follow_classification_only(loss_fields)
 
     def test_navigator_follows_raw_transport(self):
         assert_navigator_follows_raw_transport()
 
     @OFF_DEFAULT_CASES
-    def test_navigator_follows_raw_transport_off_defaults(self, loss_fields, modes):
-        assert_navigator_follows_raw_transport(loss_fields, **modes)
+    def test_navigator_follows_raw_transport_off_defaults(self, loss_fields):
+        assert_navigator_follows_raw_transport(loss_fields)
 
     def test_one_backward_pass(self, monkeypatch):
         roots = []

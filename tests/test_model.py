@@ -8,8 +8,9 @@ import pytest
 
 from ctalign import autodiff as ad
 from ctalign import model as model_mod
-from ctalign.distributions import build_theta
+from ctalign.distributions import build_beta, build_theta, theta_with_partial
 from ctalign.errors import ConfigError, DegenerateVectorError, ParseError, ShapeError
+from ctalign.losses import LossConfig
 from ctalign.model import (
     BACKGROUND,
     EpochStats,
@@ -152,10 +153,19 @@ class TestEncode:
     def test_theta_support_respects_top_k(self):
         params = init_params(n_labels=3, dim=6, depth=2, seed=6)
         samples = generate_dataset(3, 6, 8, 12, 0.3, seed=6)
-        enc = encode(params, samples[0], top_k=2)
+        enc = encode(params, samples[0], LossConfig(top_k=2))
         for ps in enc.per_layer_patches:
             assert (ps.weights > 0).sum() == 2
             assert abs(ps.weights.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("topk_mode", ["sparse", "binary"])
+    def test_patch_weights_are_build_theta_on_own_supports(self, topk_mode):
+        params = init_params(n_labels=3, dim=6, depth=2, seed=9)
+        sample = generate_dataset(3, 6, 8, 12, 0.3, seed=9)[0]
+        enc = encode(params, sample, LossConfig(top_k=3, topk_mode=topk_mode))
+        for patches, labels in zip(enc.per_layer_patches, enc.per_layer_labels):
+            theta = build_theta(patches.support, labels.support, sample.y, 3, topk_mode)
+            assert np.array_equal(patches.weights, theta)
 
     def test_beta_is_normalized_ground_truth(self):
         params = init_params(n_labels=4, dim=6, depth=1, seed=7)
@@ -273,13 +283,21 @@ class TestClosedFormNodes:
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_sparse_theta(self, k):
+        # the top-k softmax weights live inside the transport node, which
+        # passes their partials on to the patch and label embeddings
         rng = np.random.default_rng(k)
-        score = rng.normal(size=(8, 1))
-        theta, logits = model_mod._sparse_theta(ad.Tensor(score), k)
-        assert np.isneginf(logits.value).sum() == 8 - k
-        # a 1-D embedding against a unit label reproduces the raw scores
-        assert np.array_equal(theta.value.ravel(), build_theta(score.T, np.ones((1, 1)), [1], k))
-        assert_node_partials(rng, lambda s: model_mod._sparse_theta(s, k)[0], [score])
+        y = np.array([1, 0, 1])
+        yhat, beta = y / y.sum(), build_beta(y)
+        e, l = rng.normal(size=(4, 8)), rng.normal(size=(4, 3))
+        logits, theta, _ = theta_with_partial(e, l, yhat, k)
+        assert np.isneginf(logits).sum() == 8 - k
+        assert np.array_equal(theta, build_theta(e, l, y, k))
+
+        def build(e, l, log_tau):
+            weights = theta_with_partial(e.value, l.value, yhat, k)
+            return model_mod._ct_node(e, l, weights, beta, log_tau)
+
+        assert_node_partials(rng, build, [e, l, np.array([0.3])])
 
 
 class TestLocalizationReport:
