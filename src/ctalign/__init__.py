@@ -26,6 +26,7 @@ from .model import (
     generate_dataset,
     init_params,
     predict,
+    predict_batch,
     train,
 )
 from .numerics import (
@@ -85,6 +86,7 @@ __all__ = [
     "map_score",
     "navigator_distance",
     "predict",
+    "predict_batch",
     "prf_suite",
     "sinkhorn_ot",
     "softmax_stable",

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,10 +80,17 @@ def _config_from_sources(file_values: dict, overrides: dict) -> ExperimentConfig
     for name, value in merged.items():
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[fields[name]]):
             raise ConfigError(f"config {name} must be {fields[name]}, got {value!r}")
+        if fields[name] == "float" and not math.isfinite(value):
+            raise ConfigError(f"config {name} must be finite, got {value!r}")
     cfg = ExperimentConfig(**merged)
-    _loss_config(merged)  # checks the patch and label weighting
+    _loss_config(merged)  # checks the objective and its patch and label weighting
     if not 1 <= cfg.start_layer <= cfg.depth:
         raise ConfigError(f"start_layer {cfg.start_layer} outside 1..{cfg.depth}")
+    for name in ("train_samples", "test_samples", "head_hidden"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if cfg.learning_rate <= 0:
+        raise ConfigError(f"learning_rate must be > 0, got {cfg.learning_rate!r}")
     if cfg.eval_top_k < 1:
         raise ConfigError(f"eval_top_k must be >= 1, got {cfg.eval_top_k}")
     return cfg
@@ -399,7 +407,7 @@ def cmd_eval(args) -> int:
     params, extra = model_mod.load_checkpoint(args.checkpoint)
     samples = model_mod.load_dataset(args.dataset)
     loss_cfg = _loss_config(extra.get("config", {}))
-    scores = np.stack([model_mod.predict(params, s.patches) for s in samples])
+    scores = model_mod.predict_batch(params, [s.patches for s in samples])
     labels = np.stack([s.y for s in samples])
     reports = [prf_suite(scores, labels), prf_suite(scores, labels, top_k=args.topk_eval)]
     for report in reports:

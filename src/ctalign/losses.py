@@ -6,6 +6,7 @@ objective, the patch and label weighting included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ from .errors import ConfigError, NumericalError, ShapeError
 PROB_CLAMP = 1e-7
 
 
+def _is_count(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and value >= 1
+
+
 @dataclass
 class LossConfig:
     """Settings of the training objective.
@@ -25,8 +30,9 @@ class LossConfig:
     scales the transport term; start_layer is 1-indexed. top_k is the patch
     budget (None: distributions.default_top_k of the bag), topk_mode the
     patch weighting (see distributions.theta_with_partial) and beta_mode the
-    label weighting (see distributions.build_beta). Those three are checked
-    here, so a bad value raises ConfigError before any sample is scored.
+    label weighting (see distributions.build_beta). Every field is checked
+    here (alpha and the gammas finite and >= 0, start_layer >= 1), so a bad
+    value raises ConfigError before any sample is scored.
     """
 
     gamma_plus: float = 0.0
@@ -39,9 +45,15 @@ class LossConfig:
 
     def __post_init__(self):
         # a bool is an int to isinstance, so it is rejected on its own
-        if self.top_k is not None and (
-            isinstance(self.top_k, bool) or not isinstance(self.top_k, int) or self.top_k < 1
-        ):
+        for name in ("alpha", "gamma_plus", "gamma_minus"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+                math.isfinite(value) and value >= 0
+            ):
+                raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not _is_count(self.start_layer):
+            raise ConfigError(f"start_layer must be an integer >= 1, got {self.start_layer!r}")
+        if self.top_k is not None and not _is_count(self.top_k):
             raise ConfigError(f"top_k must be None or an integer >= 1, got {self.top_k!r}")
         if self.beta_mode not in BETA_MODES:
             raise ConfigError(f"beta_mode must be one of {BETA_MODES}, got {self.beta_mode!r}")

@@ -9,8 +9,9 @@ classification loss. A layer's transport node takes the label-guided patch
 weights from distributions.theta_with_partial, the same function behind
 build_theta, and adds their partials to its own. Only the Gram-Schmidt loop
 of the label frame runs on generic tape ops. The label frames depend on the
-parameters alone, so they are built once per objective, predict or encode
-call and every sample's graph shares them. The weighting settings (top_k,
+parameters alone, so they are built once per objective or scoring pass
+(predict_batch, and the encode pass behind localization_report) and every
+sample's graph shares them. The weighting settings (top_k,
 topk_mode, beta_mode) travel in losses.LossConfig. Plain-array views of the
 same forward pass feed the library-level transport functions.
 """
@@ -93,8 +94,8 @@ def generate_dataset(
         raise ConfigError(f"need n_patches >= n_labels, got {n_patches} < {n_labels}")
     if n_samples < 1:
         raise ConfigError("need at least one sample")
-    if noise_sigma < 0:
-        raise ConfigError("noise_sigma must be nonnegative")
+    if not math.isfinite(noise_sigma) or noise_sigma < 0:
+        raise ConfigError(f"noise_sigma must be finite and nonnegative, got {noise_sigma!r}")
     max_card = min(max_label_count, n_labels)
     if n_patches < max_card:
         raise ConfigError("not enough patches for the maximum label count")
@@ -203,8 +204,10 @@ def init_params(
     pass is close to mean pooling of the raw patches."""
     if n_labels < 1 or dim < 1 or depth < 1:
         raise ConfigError("n_labels, dim, and depth must be positive")
+    hh = dim if head_hidden is None else head_hidden
+    if hh < 1:
+        raise ConfigError(f"head_hidden must be None or >= 1, got {head_hidden!r}")
     rng = np.random.default_rng(seed)
-    hh = head_hidden or dim
     scale = block_scale / math.sqrt(dim)
 
     def block() -> LayerParams:
@@ -562,6 +565,30 @@ class EncodeResult:
     navigator: NavigatorParams
 
 
+def _encoded(params: ToyModelParams, samples, cfg: LossConfig | None):
+    """One EncodeResult per labeled sample, lazily, over one set of label
+    frames built at the first result."""
+    cfg = cfg or LossConfig()
+    tensors = parameter_tensors(params)
+    frames = _label_frames(tensors, params)
+    for sample in samples:
+        graph = _forward_graph(tensors, params, frames, sample.patches, sample.y, cfg)
+        per_layer_patches = [
+            make_point_set(e.value, theta)
+            for e, (_logits, theta, _partial) in zip(graph.patch_layers, graph.thetas)
+        ]
+        per_layer_labels = [
+            make_point_set(l.value, graph.beta) for l in graph.label_layers
+        ]
+        yield EncodeResult(
+            per_layer_patches=per_layer_patches,
+            per_layer_labels=per_layer_labels,
+            global_feature=graph.feature.ravel(),
+            probabilities=graph.probs.value.ravel().copy(),
+            navigator=params.navigator,
+        )
+
+
 def encode(params: ToyModelParams, sample, cfg: LossConfig | None = None) -> EncodeResult:
     """Training-style forward pass on one labeled sample, weighted as cfg's
     top_k, topk_mode and beta_mode say.
@@ -570,33 +597,25 @@ def encode(params: ToyModelParams, sample, cfg: LossConfig | None = None) -> Enc
     sets (ground-truth weights) together with the pooled feature and head
     probabilities.
     """
+    return next(_encoded(params, [sample], cfg))
+
+
+def predict_batch(params: ToyModelParams, bags) -> np.ndarray:
+    """Class probabilities for unlabeled patch bags, one row per bag, over
+    one set of label frames."""
+    bags = list(bags)
+    if not bags:
+        raise ConfigError("no patch bags to score")
     tensors = parameter_tensors(params)
     frames = _label_frames(tensors, params)
-    graph = _forward_graph(
-        tensors, params, frames, sample.patches, sample.y, cfg or LossConfig()
-    )
-    per_layer_patches = [
-        make_point_set(e.value, theta)
-        for e, (_logits, theta, _partial) in zip(graph.patch_layers, graph.thetas)
-    ]
-    per_layer_labels = [
-        make_point_set(l.value, graph.beta) for l in graph.label_layers
-    ]
-    return EncodeResult(
-        per_layer_patches=per_layer_patches,
-        per_layer_labels=per_layer_labels,
-        global_feature=graph.feature.ravel(),
-        probabilities=graph.probs.value.ravel().copy(),
-        navigator=params.navigator,
+    return np.stack(
+        [_forward_graph(tensors, params, frames, p, None, None).probs.value.ravel() for p in bags]
     )
 
 
 def predict(params: ToyModelParams, patches) -> np.ndarray:
     """Class probabilities for an unlabeled patch bag."""
-    tensors = parameter_tensors(params)
-    frames = _label_frames(tensors, params)
-    graph = _forward_graph(tensors, params, frames, patches, None, None)
-    return graph.probs.value.ravel().copy()
+    return predict_batch(params, [patches])[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +715,7 @@ def train(
             asl_sum += bundle.asl * weight
         val_map = math.nan
         if val_samples:
-            scores = np.stack([predict(params, s.patches) for s in val_samples])
+            scores = predict_batch(params, [s.patches for s in val_samples])
             labels = np.stack([s.y for s in val_samples])
             val_map = map_score(scores, labels)
         trace.append(
@@ -735,9 +754,8 @@ def localization_report(
     samples = list(samples)
     n_correct = 0
     n_localized = 0
-    for sample in samples:
+    for sample, enc in zip(samples, _encoded(params, samples, cfg)):
         # the head never reads the labels, so these are predict's probabilities
-        enc = encode(params, sample, cfg)
         if not np.array_equal((enc.probabilities > prob_threshold).astype(np.int64), sample.y):
             continue
         n_correct += 1
@@ -760,8 +778,11 @@ def localization_report(
 # serialization
 
 
+_COMPACT = (",", ":")
+
+
 def _array_payload(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
+    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
 
 
 def _array_from_payload(obj, name: str) -> np.ndarray:
@@ -794,10 +815,12 @@ def load_json(path) -> dict:
 
 
 def save_dataset(samples, path, meta: dict | None = None) -> None:
+    """Write one compact JSON object, a sample at a time: only one sample's
+    values are held as Python numbers at once."""
     if not samples:
         raise ConfigError("no samples to save")
     first = samples[0]
-    payload = {
+    header = {
         "format": DATASET_FORMAT,
         "meta": {
             "n_labels": int(first.y.size),
@@ -806,17 +829,18 @@ def save_dataset(samples, path, meta: dict | None = None) -> None:
             "count": len(samples),
             **(meta or {}),
         },
-        "samples": [
-            {
-                "patches": [float(v) for v in s.patches.ravel()],
-                "y": [int(v) for v in s.y],
-                "assignment": [int(v) for v in s.assignment],
-            }
-            for s in samples
-        ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
+        # the header object with its closing brace traded for the samples key
+        fh.write(json.dumps(header, separators=_COMPACT)[:-1] + ',"samples":[')
+        for i, s in enumerate(samples):
+            item = {
+                "patches": np.asarray(s.patches, dtype=np.float64).ravel().tolist(),
+                "y": np.asarray(s.y).astype(np.int64).tolist(),
+                "assignment": np.asarray(s.assignment).astype(np.int64).tolist(),
+            }
+            fh.write(("," if i else "") + json.dumps(item, separators=_COMPACT))
+        fh.write("]}")
 
 
 def load_dataset(path) -> list[SyntheticSample]:
@@ -864,7 +888,7 @@ def save_checkpoint(params: ToyModelParams, path, extra: dict | None = None) -> 
         "extra": extra or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
+        fh.write(json.dumps(payload, separators=_COMPACT))
 
 
 def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
@@ -880,8 +904,8 @@ def load_checkpoint(path) -> tuple[ToyModelParams, dict]:
             head_hidden=int(arch["head_hidden"]),
         )
         stored = payload["params"]
-    except (KeyError, TypeError, ValueError) as err:
-        raise ParseError(f"{path}: missing checkpoint fields ({err})") from err
+    except (KeyError, TypeError, ValueError, ConfigError) as err:
+        raise ParseError(f"{path}: missing or bad checkpoint fields ({err})") from err
     arrays = parameter_arrays(params)
     if set(stored) != set(arrays):
         raise ParseError(f"{path}: parameter names do not match the architecture")

@@ -77,8 +77,9 @@ def top_k_mask(scores, k: int) -> np.ndarray:
     returns a copy of the input unchanged.
     """
     s = as_vector(scores, "scores")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    # a bool is an int to isinstance, so it is rejected on its own
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
     if not np.isfinite(s).all():
         raise NumericalError("scores must be finite")
     if k >= s.size:
@@ -127,8 +128,11 @@ def grad_check(
     """Compare an analytic gradient against central differences.
 
     Returns max over coordinates of |g_analytic - g_central| / max(1, |g_central|).
-    Raises EvaluationError when f is non-finite at any probe point.
+    Raises ConfigError unless step is finite and positive, and
+    EvaluationError when f is non-finite at any probe point.
     """
+    if not (np.isfinite(step) and step > 0):
+        raise ConfigError(f"step must be finite and positive, got {step!r}")
     x = np.asarray(point, dtype=np.float64).copy()
     g = np.asarray(grad(x.copy()), dtype=np.float64)
     if g.shape != x.shape:

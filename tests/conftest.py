@@ -16,6 +16,7 @@ import pytest
 from hypothesis import settings
 
 from ctalign import cli
+from ctalign import model as model_mod
 from ctalign.distributions import DiscretePointSet, make_point_set
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -33,6 +34,21 @@ def random_point_sets(
     p = make_point_set(rng.normal(size=(d, n)), random_simplex(rng, n))
     q = make_point_set(rng.normal(size=(d, m)), random_simplex(rng, m))
     return p, q
+
+
+@pytest.fixture
+def frame_builds(monkeypatch) -> list:
+    """Every label-frame orthonormalisation made while the test runs: one
+    set of label frames is model.params.depth of them."""
+    calls = []
+    original = model_mod._orthonormal_columns
+
+    def counting(t, radius):
+        calls.append(t)
+        return original(t, radius)
+
+    monkeypatch.setattr(model_mod, "_orthonormal_columns", counting)
+    return calls
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,41 @@ class TestTrainCommand:
         assert next(iter(values)) in capsys.readouterr().err
         assert not (out / "dataset.json").exists()
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"test_samples": 0},
+            {"train_samples": 0},
+            {"head_hidden": 0},
+            {"learning_rate": 0.0},
+            {"learning_rate": -1e-3},
+            {"learning_rate": math.nan},
+            {"noise_sigma": math.inf},
+            {"alpha": math.nan},
+            {"gamma_minus": -1.0},
+        ],
+        ids=[
+            "no-test-samples", "no-train-samples", "no-head-hidden", "zero-learning-rate", "negative-learning-rate",
+            "nan-learning-rate", "inf-noise", "nan-alpha", "negative-gamma",
+        ],
+    )
+    def test_out_of_range_config_value_exits_4_before_data(self, tmp_path, capsys, monkeypatch, values):
+        monkeypatch.setattr(model_mod, "generate_dataset", unreachable)
+        cfg_file = tmp_path / "cfg.json"
+        # json writes NaN and Infinity as bare literals, and reads them back
+        cfg_file.write_text(json.dumps({"train_samples": 20, "test_samples": 10, **values}))
+        code = main(["train", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert next(iter(values)) in capsys.readouterr().err
+
+    def test_benchmark_config_builds_frames_once_per_pass(self, tmp_path, frame_builds, capsys):
+        # one set per training step, one per validated epoch, one for the
+        # localization report; the test split reuses the last validation
+        cfg = ExperimentConfig(seed=1, epochs=2, lct_warmup_epochs=1)
+        run_train(cfg, tmp_path / "run")
+        steps = cfg.epochs * math.ceil(cfg.train_samples / cfg.batch_size)
+        assert len(frame_builds) == cfg.depth * (steps + cfg.epochs + 1) == 309
+
     def test_config_accepts_every_default_and_int_for_float(self):
         # the defaults hold one value of every field type, top_k's null included
         assert _config_from_sources(dataclasses.asdict(ExperimentConfig()), {}) == ExperimentConfig()
@@ -283,6 +319,21 @@ class TestEvalCommand:
         assert [r["regime"] for r in rows] == ["all", "top2"]
         for row in rows:
             assert 0.0 <= float(row["mAP"]) <= 1.0
+
+    def test_one_frame_set_per_scoring_pass(self, tiny_run, tmp_path, frame_builds):
+        # predict_batch and the localization report each build one set of
+        # label frames, whatever the number of samples
+        _, run_dir, _ = tiny_run
+        counts = []
+        for n_samples in (3, 60):
+            dataset = tmp_path / f"data{n_samples}.json"
+            model_mod.save_dataset(model_mod.load_dataset(run_dir / "dataset.json")[:n_samples], dataset)
+            frame_builds.clear()
+            args = ["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--dataset", str(dataset)]
+            assert main(args + ["--out", str(tmp_path / "eval")]) == 0
+            counts.append(len(frame_builds))
+        depth = model_mod.load_checkpoint(run_dir / "checkpoint.json")[0].depth
+        assert counts == [2 * depth, 2 * depth]
 
     def test_missing_checkpoint_exits_2(self, tiny_run, tmp_path, capsys):
         _, run_dir, _ = tiny_run
@@ -364,7 +415,7 @@ class TestEvalCommand:
     ):
         _, run_dir, _ = tiny_run
         ckpt = write_checkpoint_variant(run_dir, tmp_path, mutate)
-        monkeypatch.setattr(model_mod, "predict", unreachable)
+        monkeypatch.setattr(model_mod, "predict_batch", unreachable)
         args = ["eval", "--checkpoint", str(ckpt), "--dataset", str(run_dir / "dataset.json")]
         assert main(args + ["--out", str(tmp_path / "eval")]) == code
         assert error in capsys.readouterr().err

@@ -68,6 +68,11 @@ class TestBuildTheta:
         with pytest.raises(ConfigError):
             build_theta(np.ones((2, 3)), np.ones((2, 2)), [1, 0], k=2, topk_mode="soft")
 
+    @pytest.mark.parametrize("topk_mode", ["sparse", "binary"])
+    def test_non_integer_k_rejected(self, topk_mode):
+        with pytest.raises(ConfigError):
+            build_theta(np.ones((2, 3)), np.ones((2, 2)), [1, 0], k=2.5, topk_mode=topk_mode)
+
     @given(
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=1, max_value=15),

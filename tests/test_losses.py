@@ -165,6 +165,35 @@ class TestLossConfig:
         with pytest.raises(ConfigError, match=next(iter(fields))):
             LossConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"alpha": math.nan},
+            {"alpha": math.inf},
+            {"alpha": -1.0},
+            {"alpha": "1"},
+            {"gamma_plus": math.nan},
+            {"gamma_plus": -0.5},
+            {"gamma_minus": math.inf},
+            {"gamma_minus": -2.0},
+            {"start_layer": 0},
+            {"start_layer": 1.0},
+            {"start_layer": True},
+        ],
+        ids=[
+            "alpha-nan", "alpha-inf", "alpha-negative", "alpha-str", "gamma-plus-nan",
+            "gamma-plus-negative", "gamma-minus-inf", "gamma-minus-negative",
+            "start-layer-zero", "start-layer-float", "start-layer-bool",
+        ],
+    )
+    def test_bad_objective_setting_rejected(self, fields):
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            LossConfig(**fields)
+
+    def test_zero_alpha_and_gammas_accepted(self):
+        cfg = LossConfig(alpha=0, gamma_plus=0.0, gamma_minus=0)
+        assert (cfg.alpha, cfg.gamma_plus, cfg.gamma_minus) == (0, 0.0, 0)
+
 
 class TestLossGradients:
     def test_alpha_zero_navigator_gradient_exactly_zero(self):
@@ -210,21 +239,13 @@ class TestLossGradients:
                     else:
                         assert np.array_equal(two.partials[name], g)
 
-    def test_one_label_branch_per_objective(self, monkeypatch):
-        calls = []
-        original = model_mod._orthonormal_columns
-
-        def counting(t, radius):
-            calls.append(t)
-            return original(t, radius)
-
-        monkeypatch.setattr(model_mod, "_orthonormal_columns", counting)
+    def test_one_label_branch_per_objective(self, frame_builds):
         params, batch = tiny_instance(14, batch=3)
         cfg = LossConfig()
         for objective in (loss_gradients, warmup_gradients, model_mod.batch_loss_value):
-            calls.clear()
+            frame_builds.clear()
             objective(params, batch, cfg)
-            assert len(calls) == params.depth
+            assert len(frame_builds) == params.depth
 
     def test_bundle_components_additive(self):
         params, batch = tiny_instance(8, batch=2)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ctalign.model import (
     load_dataset,
     localization_report,
     predict,
+    predict_batch,
     save_checkpoint,
     save_dataset,
     train,
@@ -103,6 +105,11 @@ class TestGenerateDataset:
             generate_dataset(3, 4, 4, 10, -0.5, seed=0)
         with pytest.raises(ConfigError):
             generate_dataset(6, 4, 6, 1, 0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_nonfinite_noise_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            generate_dataset(3, 4, 4, 10, sigma, seed=0)
 
 
 def aligned_toy_model(dim=6, n_labels=4) -> ToyModelParams:
@@ -182,6 +189,27 @@ class TestEncode:
         assert len(enc.per_layer_patches) == 3
         assert len(enc.per_layer_labels) == 3
 
+    @pytest.mark.parametrize("topk_mode", ["sparse", "binary"])
+    def test_one_pass_matches_encode_and_the_graph(self, topk_mode, frame_builds):
+        params = init_params(n_labels=3, dim=6, depth=2, seed=9)
+        samples = generate_dataset(3, 6, 8, 12, 0.3, seed=9)[:4]
+        cfg = LossConfig(top_k=3, topk_mode=topk_mode)
+        # the pass is lazy: no frames until the first result is asked for
+        results = model_mod._encoded(params, samples, cfg)
+        assert frame_builds == []
+        for sample, batched in zip(samples, results):
+            tensors = model_mod.parameter_tensors(params)
+            frames = model_mod._label_frames(tensors, params)
+            graph = model_mod._forward_graph(tensors, params, frames, sample.patches, sample.y, cfg)
+            for enc in (batched, encode(params, sample, cfg)):
+                assert np.array_equal(enc.probabilities, graph.probs.value.ravel())
+                assert np.array_equal(enc.global_feature, graph.feature.ravel())
+                for layer, (ps, ls) in enumerate(zip(enc.per_layer_patches, enc.per_layer_labels)):
+                    assert np.array_equal(ps.support, graph.patch_layers[layer].value)
+                    assert np.array_equal(ps.weights, graph.thetas[layer][1])
+                    assert np.array_equal(ls.support, graph.label_layers[layer].value)
+                    assert np.array_equal(ls.weights, graph.beta)
+
     def test_wrong_patch_dimension_rejected(self):
         params = init_params(n_labels=3, dim=6, depth=1, seed=9)
         sample = SyntheticSample(
@@ -199,6 +227,21 @@ class TestPredict:
         b = predict(params, patches)
         assert np.array_equal(a, b)
         assert a.shape == (5,)
+        # an array of its own, not a view that keeps a batch alive
+        assert a.base is None
+
+    def test_batch_equals_stacked_predict(self):
+        params = init_params(n_labels=5, dim=8, depth=2, seed=10)
+        rng = np.random.default_rng(1)
+        bags = [rng.normal(size=(8, n)) for n in (9, 3, 9, 16)]
+        batch = predict_batch(params, bags)
+        assert batch.shape == (4, 5)
+        assert np.array_equal(batch, np.stack([predict(params, b) for b in bags]))
+
+    def test_empty_batch_rejected(self):
+        params = init_params(n_labels=3, dim=4, depth=1, seed=12)
+        with pytest.raises(ConfigError):
+            predict_batch(params, [])
 
 
     def test_empty_bag_rejected(self):
@@ -222,6 +265,42 @@ class TestPredict:
         y = np.array([0, 0, 1, 0, 0, 0])
         with pytest.raises(DegenerateVectorError):
             encode(params, SyntheticSample(patches, y, np.full(16, BACKGROUND)))
+
+
+class TestOneLabelFramePerPass:
+    """The label frames are built once per scoring pass, whatever its size."""
+
+    @pytest.mark.parametrize("n_bags", [1, 6])
+    def test_predict_batch(self, frame_builds, n_bags):
+        params = init_params(n_labels=3, dim=6, depth=3, seed=13)
+        rng = np.random.default_rng(n_bags)
+        predict_batch(params, [rng.normal(size=(6, 8)) for _ in range(n_bags)])
+        assert len(frame_builds) == params.depth
+
+    @pytest.mark.parametrize("n_samples", [1, 6])
+    def test_localization_report(self, frame_builds, n_samples):
+        params = init_params(n_labels=3, dim=6, depth=3, seed=14)
+        samples = generate_dataset(3, 6, 8, 6, 0.3, seed=14)[:n_samples]
+        report = localization_report(params, samples, prob_threshold=0.0)
+        assert report.n_total == n_samples
+        assert len(frame_builds) == params.depth
+
+    def test_localization_report_holds_one_encoding_at_a_time(self, monkeypatch):
+        # as each result is made, at most the previous one is still referenced
+        original = model_mod._encoded
+        alive = []
+
+        def watching(params, samples, cfg):
+            refs = []
+            for enc in original(params, samples, cfg):
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(enc))
+                yield enc
+
+        monkeypatch.setattr(model_mod, "_encoded", watching)
+        params = init_params(n_labels=3, dim=6, depth=2, seed=15)
+        localization_report(params, generate_dataset(3, 6, 8, 8, 0.3, seed=15), prob_threshold=0.0)
+        assert len(alive) == 8 and max(alive) <= 1
 
 
 def assert_node_partials(rng, build, inputs, tol=1e-7):
@@ -435,6 +514,15 @@ class TestParameterPlumbing:
         with pytest.raises(ConfigError):
             init_params(n_labels=2, dim=4, depth=0)
 
+    @pytest.mark.parametrize("head_hidden", [0, -1])
+    def test_head_hidden_below_one_rejected(self, head_hidden):
+        with pytest.raises(ConfigError, match="head_hidden"):
+            init_params(n_labels=2, dim=4, head_hidden=head_hidden)
+
+    def test_head_hidden_none_means_dim(self):
+        assert init_params(n_labels=2, dim=4).head.w1.shape == (4, 4)
+        assert init_params(n_labels=2, dim=4, head_hidden=3).head.w1.shape == (3, 4)
+
 
 class TestSerialization:
     def test_dataset_roundtrip_exact(self, tmp_path):
@@ -457,6 +545,45 @@ class TestSerialization:
         assert extra == {"alpha": 1.0}
         assert np.array_equal(flatten_parameters(loaded), flatten_parameters(params))
         assert loaded.depth == params.depth
+
+    def test_dataset_bytes_match_one_dump_of_the_payload(self, tmp_path):
+        samples = generate_dataset(3, 6, 8, 10, 0.3, seed=42)
+        # a sample with float32 patches and float labels is written as floats and ints
+        odd = samples[0]
+        samples.append(
+            SyntheticSample(odd.patches.astype(np.float32), odd.y.astype(float), odd.assignment)
+        )
+        meta = {"noise_sigma": 0.3, "seed": 42, "train_samples": 7}
+        path = tmp_path / "data.json"
+        save_dataset(samples, path, meta=meta)
+        payload = {
+            "format": model_mod.DATASET_FORMAT,
+            "meta": {"n_labels": 3, "feature_dim": 6, "n_patches": 8, "count": 11, **meta},
+            "samples": [
+                {
+                    "patches": [float(v) for v in s.patches.ravel()],
+                    "y": [int(v) for v in s.y],
+                    "assignment": [int(v) for v in s.assignment],
+                }
+                for s in samples
+            ],
+        }
+        assert path.read_bytes() == json.dumps(payload, separators=(",", ":")).encode()
+
+    def test_checkpoint_bytes_match_one_dump_of_the_payload(self, tmp_path):
+        params = init_params(n_labels=4, dim=6, depth=2, head_hidden=5, seed=43)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path, extra={"config": {"alpha": 0.5}})
+        payload = {
+            "format": model_mod.CHECKPOINT_FORMAT,
+            "arch": {"dim": 6, "n_labels": 4, "depth": 2, "head_hidden": 5},
+            "params": {
+                name: {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
+                for name, arr in model_mod.parameter_arrays(params).items()
+            },
+            "extra": {"config": {"alpha": 0.5}},
+        }
+        assert path.read_bytes() == json.dumps(payload, separators=(",", ":")).encode()
 
     def test_missing_file_raises_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
@@ -505,6 +632,16 @@ class TestSerialization:
         payload["params"]["navigator.extra"] = {"shape": [1], "data": [0.0]}
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["head_hidden", "dim"])
+    def test_zero_arch_size_rejected(self, tmp_path, field):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_params(n_labels=3, dim=4, depth=1, seed=44), path)
+        payload = json.loads(path.read_text())
+        payload["arch"][field] = 0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=field):
             load_checkpoint(path)
 
     def test_nonfinite_parameter_rejected(self, tmp_path):

@@ -92,6 +92,14 @@ class TestTopKMask:
         with pytest.raises(ConfigError):
             top_k_mask([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ConfigError):
+            top_k_mask([1.0, 2.0, 3.0], k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert np.array_equal(top_k_mask([1.0, 2.0], np.int64(2)), [1.0, 2.0])
+
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(NumericalError):
             top_k_mask([1.0, np.nan], 1)
@@ -206,6 +214,11 @@ class TestGradCheck:
     def test_gradient_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             grad_check(lambda x: 0.0, lambda x: np.zeros(3), [1.0])
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+    def test_step_not_finite_and_positive_rejected(self, step):
+        with pytest.raises(ConfigError):
+            grad_check(lambda x: float(x[0] ** 2), lambda x: 2 * x, [3.0], step=step)
 
 
 class TestSimplexValidation:
